@@ -408,6 +408,9 @@ func (e *ThreadPanicError) Error() string {
 	return fmt.Sprintf("engine: thread %q panicked: %v", e.Thread, e.Value)
 }
 
+// ErrKind returns the wire error kind.
+func (e *ThreadPanicError) ErrKind() string { return "panic" }
+
 func stackTrace() []byte {
 	buf := make([]byte, 16<<10)
 	n := runtime.Stack(buf, false)
@@ -425,6 +428,9 @@ func (e *DeadlockError) Error() string {
 	return fmt.Sprintf("engine: deadlock at cycle %d; parked threads: %v", e.NowCycles, e.Threads)
 }
 
+// ErrKind returns the wire error kind.
+func (e *DeadlockError) ErrKind() string { return "deadlock" }
+
 // LivelockError reports that the event budget was exhausted.
 type LivelockError struct {
 	NowCycles Time
@@ -434,6 +440,9 @@ type LivelockError struct {
 func (e *LivelockError) Error() string {
 	return fmt.Sprintf("engine: event budget of %d exhausted at cycle %d (livelock?)", e.Events, e.NowCycles)
 }
+
+// ErrKind returns the wire error kind.
+func (e *LivelockError) ErrKind() string { return "livelock" }
 
 // StallError reports that the progress watchdog fired: the simulated-cycle
 // budget was exceeded, or no thread made progress for a full quiescence
@@ -458,6 +467,9 @@ func (e *StallError) Error() string {
 	}
 	return msg
 }
+
+// ErrKind returns the wire error kind.
+func (e *StallError) ErrKind() string { return "stall" }
 
 // liveThreadNames returns the names of live threads, sorted for determinism.
 func (s *Sim) liveThreadNames() []string {

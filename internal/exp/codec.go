@@ -254,9 +254,9 @@ type CellResult struct {
 	// because every model-filled cell carries the marker.
 	Source string           `json:"source,omitempty"`
 	Run    *svmsim.RunStats `json:"run,omitempty"`
-	// ErrKind classifies a failed cell ("stall", "lost_page",
-	// "link_failure" or "failed"); it survives the disk cache, so a
-	// daemon restart reports the same structured kind.
+	// ErrKind classifies a failed cell with its wire kind (see ErrKind and
+	// RetryableKind); it survives the disk cache, so a daemon restart
+	// reports the same structured kind.
 	ErrKind string `json:"err_kind,omitempty"`
 	Err     string `json:"err,omitempty"`
 }
@@ -290,54 +290,32 @@ func NewPredictedCellResult(key string, run *svmsim.RunStats) CellResult {
 	return CellResult{Schema: SchemaVersion, Key: key, Source: SourcePredictedCell, Run: run}
 }
 
-// ErrKind classifies an error into the wire schema's structured kinds: the
-// typed simulator failures keep their identity ("stall", "lost_page",
-// "link_failure", "deadlock", "livelock", "panic"); everything else
-// (harness-side panics, validation at run time) is "failed". The svmlint
-// errkind analyzer holds this switch exhaustive over the error taxonomy.
-// Kinds survive the disk cache via cachedError.
+// ErrKind classifies an error into the wire schema's structured kinds. Every
+// typed failure names its own kind through an ErrKind() string method (the
+// svmlint errkind analyzer requires one on each exported *Error type);
+// anything else (harness-side panics, validation at run time) is "failed",
+// and nil is "". Kinds survive the disk cache via cachedError.
 func ErrKind(err error) string {
-	var c *cachedError
-	switch {
-	case err == nil:
+	if err == nil {
 		return ""
-	case errors.As(err, &c):
-		return c.kind
-	case errors.As(err, new(*svmsim.StallError)):
-		return "stall"
-	case errors.As(err, new(*svmsim.LostPageError)):
-		return "lost_page"
-	case errors.As(err, new(*svmsim.LinkFailureError)):
-		return "link_failure"
-	case errors.As(err, new(*svmsim.DeadlockError)):
-		return "deadlock"
-	case errors.As(err, new(*svmsim.LivelockError)):
-		return "livelock"
-	case errors.As(err, new(*svmsim.ThreadPanicError)):
-		return "panic"
-	case errors.As(err, new(*JobTimeoutError)):
-		return "job_timeout"
-	case errors.As(err, new(*WorkerLostError)):
-		return "worker_lost"
-	case errors.As(err, new(*RedispatchExhaustedError)):
-		return "redispatch_exhausted"
-	case errors.As(err, new(*UncalibratedError)):
-		return "uncalibrated"
-	case errors.As(err, new(*InfeasibleError)):
-		return "infeasible"
-	default:
-		return "failed"
 	}
+	var k interface{ ErrKind() string }
+	if errors.As(err, &k) {
+		return k.ErrKind()
+	}
+	return "failed"
 }
 
 // RetryableKind reports whether a wire error kind names a host-level
 // failure worth re-running elsewhere ("job_timeout", "worker_lost", a
 // panic, an unclassified harness error) as opposed to a deterministic
-// simulation outcome that fails identically on every worker ("stall",
-// "lost_page", ...). It is the kind-string mirror of deterministicErr: the
-// coordinator sees worker failures only as wire kinds, after the typed
-// error has been flattened, and a consistency test holds the two views in
-// agreement. The empty kind (success) is not retryable.
+// simulation outcome that fails identically on every attempt and every
+// worker ("stall", "lost_page", ...). It is the one retry table: the
+// in-process retry loop consults it through ErrKind, and the coordinator
+// sees worker failures only as wire kinds. A panic inside a simulated
+// thread usually reproduces, but its causes include environmental limits
+// (stack, memory), so it stays retryable. The empty kind (success) is not
+// retryable.
 func RetryableKind(kind string) bool {
 	switch kind {
 	case "", "stall", "lost_page", "link_failure", "deadlock", "livelock",
@@ -355,6 +333,9 @@ func RetryableKind(kind string) bool {
 type cachedError struct{ kind, msg string }
 
 func (e *cachedError) Error() string { return e.msg }
+
+// ErrKind returns the stored wire error kind.
+func (e *cachedError) ErrKind() string { return e.kind }
 
 // EncodeCellResult renders the canonical encoding of a cell result: indented
 // JSON with a trailing newline, identical bytes from the CLI, the daemon and
@@ -377,6 +358,10 @@ func DecodeCellResult(data []byte) (CellResult, error) {
 	// simulated (every pre-twin producer only ever wrote simulations).
 	if r.Run != nil && r.Source == "" {
 		r.Source = SourceSimulated
+	}
+	// Likewise a failed result without a kind is an unclassified failure.
+	if r.Err != "" && r.ErrKind == "" {
+		r.ErrKind = "failed"
 	}
 	return r, nil
 }

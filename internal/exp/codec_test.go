@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -244,33 +245,48 @@ func TestResolveCellRejects(t *testing.T) {
 }
 
 // TestErrKindTaxonomy pins the wire kind and the retry disposition of every
-// typed simulator failure — the two switches the svmlint errkind analyzer
-// holds exhaustive. Deterministic modeled failures skip the retry budget; a
-// thread panic may be environmental and is allowed to retry.
+// failure exp can reach. Deterministic modeled failures skip the retry
+// budget; a thread panic may be environmental and is allowed to retry, as is
+// an unclassified harness error. The harness and twin error types are pinned
+// the same way in the packages that declare them.
 func TestErrKindTaxonomy(t *testing.T) {
 	cases := []struct {
-		err           error
-		kind          string
-		deterministic bool
+		err       error
+		kind      string
+		retryable bool
 	}{
-		{&svmsim.StallError{NowCycles: 7}, "stall", true},
-		{&svmsim.LostPageError{}, "lost_page", true},
-		{&svmsim.LinkFailureError{}, "link_failure", true},
-		{&svmsim.DeadlockError{NowCycles: 9}, "deadlock", true},
-		{&svmsim.LivelockError{NowCycles: 9, Events: 10}, "livelock", true},
-		{&svmsim.ThreadPanicError{Thread: "p0", Value: "boom"}, "panic", false},
-		{&UncalibratedError{Workload: "FFT", Mode: "hlrc", Reason: "no calibration has run"}, "uncalibrated", true},
-		{&InfeasibleError{Workload: "FFT", Mode: "hlrc", MinSpeedup: 12, Best: 9.1}, "infeasible", true},
-		{&JobTimeoutError{Key: "k", Attempt: 2}, "job_timeout", false},
-		{errors.New("setup exploded"), "failed", false},
+		{nil, "", false},
+		{&svmsim.StallError{NowCycles: 7}, "stall", false},
+		{&svmsim.LostPageError{}, "lost_page", false},
+		{&svmsim.LinkFailureError{}, "link_failure", false},
+		{&svmsim.DeadlockError{NowCycles: 9}, "deadlock", false},
+		{&svmsim.LivelockError{NowCycles: 9, Events: 10}, "livelock", false},
+		{&svmsim.ThreadPanicError{Thread: "p0", Value: "boom"}, "panic", true},
+		{fmt.Errorf("LU on p16: %w", &svmsim.StallError{}), "stall", false},
+		{&cachedError{kind: "job_timeout", msg: "gave up"}, "job_timeout", true},
+		{errors.New("setup exploded"), "failed", true},
 	}
 	for _, c := range cases {
-		if k := ErrKind(c.err); k != c.kind {
+		k := ErrKind(c.err)
+		if k != c.kind {
 			t.Errorf("ErrKind(%T) = %q, want %q", c.err, k, c.kind)
 		}
-		if d := deterministicErr(c.err); d != c.deterministic {
-			t.Errorf("deterministicErr(%T) = %v, want %v", c.err, d, c.deterministic)
+		if r := RetryableKind(k); r != c.retryable {
+			t.Errorf("RetryableKind(%q) = %v, want %v", k, r, c.retryable)
 		}
+	}
+}
+
+// TestDecodeKindlessErrorIsFailed: an error document without a kind decodes
+// as the unclassified "failed" kind, so every consumer of the decoded result
+// (disk cache, fleet coordinator) dispositions it the same way.
+func TestDecodeKindlessErrorIsFailed(t *testing.T) {
+	r, err := DecodeCellResult([]byte(`{"schema":1,"key":"k","err":"x"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ErrKind != "failed" || r.Err != "x" {
+		t.Fatalf("decoded %+v, want kind failed", r)
 	}
 }
 

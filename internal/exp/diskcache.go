@@ -75,11 +75,7 @@ func (s *Suite) loadCell(key string) (*svmsim.RunStats, error, bool) {
 		return nil, nil, false
 	}
 	if e.Err != "" {
-		kind := e.ErrKind
-		if kind == "" {
-			kind = "failed"
-		}
-		return nil, &cachedError{kind: kind, msg: e.Err}, true
+		return nil, &cachedError{kind: e.ErrKind, msg: e.Err}, true
 	}
 	if e.Run == nil {
 		return nil, nil, false

@@ -6,7 +6,6 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -65,10 +64,11 @@ type Suite struct {
 	// cell to a remote worker and returns its wire result. Returning
 	// ok=false (or an empty result) falls back to local simulation, so a
 	// coordinator with no live workers degrades to a plain daemon instead
-	// of failing. The hook runs inside the cell's singleflight — at most
-	// one dispatch per cell is in flight at a time — and must be safe for
-	// concurrent use across distinct cells. Set it before the suite serves
-	// traffic.
+	// of failing. A failed result carries its ErrKind (DecodeCellResult
+	// fills in "failed" for a kindless document). The hook runs inside the
+	// cell's singleflight — at most one dispatch per cell is in flight at a
+	// time — and must be safe for concurrent use across distinct cells. Set
+	// it before the suite serves traffic.
 	Remote func(Cell) (CellResult, bool)
 	// Predict, when non-nil, is consulted for each cell after the memo,
 	// singleflight and disk layers miss but before Remote and local
@@ -282,11 +282,7 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 					// key context; preserve its structured kind and text
 					// verbatim so a remotely-failed cell renders (and caches)
 					// the same bytes a local failure would.
-					kind := rr.ErrKind
-					if kind == "" {
-						kind = "failed"
-					}
-					err = &cachedError{kind: kind, msg: rr.Err}
+					err = &cachedError{kind: rr.ErrKind, msg: rr.Err}
 				} else {
 					res = &svmsim.Result{Run: rr.Run}
 				}
@@ -311,7 +307,7 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 		sw := walltime.Start()
 		res, err = s.simulate(cfg, w)
 		simSeconds += sw.Seconds()
-		if err == nil || attempt >= retries || deterministicErr(err) {
+		if err == nil || attempt >= retries || !RetryableKind(ErrKind(err)) {
 			break
 		}
 	}
@@ -349,52 +345,6 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 // point behind cmd/sweep's -cell mode and the daemon's cell jobs.
 func (s *Suite) RunCell(c Cell) (*svmsim.RunStats, error) {
 	return s.run(c.Cfg, c.W)
-}
-
-// deterministicErr reports whether an error is a structured, reproducible
-// simulation outcome: the simulator is deterministic, so a lost page, an
-// exhausted retry budget, a tripped watchdog, or a drained-queue deadlock
-// fails identically on every attempt and a retry only re-pays the full
-// simulation cost before caching the same error. Retries exist for
-// host-level flakiness, not for modeled failures. The switch dispositions
-// every type in the error taxonomy explicitly (held exhaustive by the
-// svmlint errkind analyzer).
-func deterministicErr(err error) bool {
-	switch {
-	case errors.As(err, new(*svmsim.LostPageError)),
-		errors.As(err, new(*svmsim.LinkFailureError)),
-		errors.As(err, new(*svmsim.StallError)),
-		errors.As(err, new(*svmsim.DeadlockError)),
-		errors.As(err, new(*svmsim.LivelockError)):
-		return true
-	case errors.As(err, new(*svmsim.ThreadPanicError)):
-		// A panic inside a simulated thread usually reproduces, but panic
-		// causes include environmental limits (stack, memory); spend the
-		// retry budget rather than cache a possibly transient failure.
-		return false
-	case errors.As(err, new(*JobTimeoutError)):
-		// A wall-clock deadline is pure host weather (load, scheduling,
-		// disk): the same cell may finish comfortably on the next attempt,
-		// so the serving layer's bounded retry applies.
-		return false
-	case errors.As(err, new(*WorkerLostError)):
-		// The worker died, not the simulation: the identical cell succeeds
-		// on any other worker.
-		return false
-	case errors.As(err, new(*RedispatchExhaustedError)):
-		// Every placement attempt hit host-level failure; the cell itself
-		// was never judged, so the outcome is not reproducible.
-		return false
-	case errors.As(err, new(*UncalibratedError)):
-		// The twin's model set is fixed for the life of the request:
-		// consulting it again without calibrating cannot succeed.
-		return true
-	case errors.As(err, new(*InfeasibleError)):
-		// The studied parameter space is finite and the model deterministic;
-		// the same query is infeasible on every retry.
-		return true
-	}
-	return false
 }
 
 // simulate executes one cell, converting a panic (in the simulator, protocol,

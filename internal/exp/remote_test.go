@@ -211,38 +211,3 @@ func TestRemoteErrorPreservedAndCached(t *testing.T) {
 		t.Fatalf("deterministic remote error re-dispatched (calls=%d)", calls)
 	}
 }
-
-// TestRetryableKindMirrorsDeterministicErr holds the two disposition views
-// in agreement: the coordinator sees only wire kinds, the local retry loop
-// sees typed errors, and a cell must never be "retry elsewhere" on one side
-// but "deterministic, cache it" on the other.
-func TestRetryableKindMirrorsDeterministicErr(t *testing.T) {
-	taxonomy := []error{
-		&svmsim.StallError{},
-		&svmsim.LostPageError{},
-		&svmsim.LinkFailureError{},
-		&svmsim.DeadlockError{},
-		&svmsim.LivelockError{},
-		&svmsim.ThreadPanicError{},
-		&UncalibratedError{},
-		&InfeasibleError{},
-		&JobTimeoutError{},
-		&WorkerLostError{},
-		&RedispatchExhaustedError{},
-	}
-	for _, err := range taxonomy {
-		kind := ErrKind(err)
-		if kind == "" || kind == "failed" {
-			t.Fatalf("%T has no structured kind (got %q)", err, kind)
-		}
-		if got, want := RetryableKind(kind), !deterministicErr(err); got != want {
-			t.Errorf("%T (kind %q): RetryableKind=%v but deterministicErr=%v", err, kind, got, !want)
-		}
-	}
-	if RetryableKind("") {
-		t.Error("empty kind (success) must not be retryable")
-	}
-	if !RetryableKind("failed") {
-		t.Error("unclassified harness failures must be retryable")
-	}
-}

@@ -80,9 +80,51 @@ func (c *Coordinator) remote(cell exp.Cell) (exp.CellResult, bool) {
 		c.logf("fleet: falling back to local simulation for %s: %v", key, lastErr)
 		return exp.CellResult{}, false
 	}
-	err := &exp.RedispatchExhaustedError{Key: key, Attempts: dispatched, Last: fmt.Sprint(lastErr)}
-	return exp.CellResult{Schema: exp.SchemaVersion, Key: key, ErrKind: exp.ErrKind(err), Err: err.Error()}, true
+	err := &RedispatchExhaustedError{Key: key, Attempts: dispatched, Last: fmt.Sprint(lastErr)}
+	return exp.CellResult{Schema: exp.SchemaVersion, Key: key, ErrKind: err.ErrKind(), Err: err.Error()}, true
 }
+
+// WorkerLostError reports a fleet dispatch aborted because the worker
+// executing it was declared dead — it missed its suspect timeout, refused
+// connections, or left the fleet — while the cell was in flight. It is a
+// harness failure, not a simulation outcome: the identical cell runs fine on
+// any other worker, so the coordinator re-dispatches rather than surfacing
+// it.
+type WorkerLostError struct {
+	// Worker is the coordinator-assigned ID of the lost worker.
+	Worker string
+	// Key is the content address of the in-flight work.
+	Key string
+}
+
+func (e *WorkerLostError) Error() string {
+	return fmt.Sprintf("worker %s lost with cell in flight (key %s)", e.Worker, e.Key)
+}
+
+// ErrKind returns the wire error kind.
+func (e *WorkerLostError) ErrKind() string { return "worker_lost" }
+
+// RedispatchExhaustedError reports a cell the fleet failed to place: every
+// dispatch attempt ended in a host-level failure (dead workers, timeouts,
+// unreachable endpoints) and the redispatch budget ran out with local
+// fallback disabled. The cell itself was never judged, so this is
+// non-deterministic by construction — a retry against a healthier fleet may
+// succeed.
+type RedispatchExhaustedError struct {
+	// Key is the content address of the unplaceable work.
+	Key string
+	// Attempts is how many dispatches were tried before giving up.
+	Attempts int
+	// Last is the text of the final attempt's failure.
+	Last string
+}
+
+func (e *RedispatchExhaustedError) Error() string {
+	return fmt.Sprintf("fleet dispatch exhausted after %d attempts (key %s): %s", e.Attempts, e.Key, e.Last)
+}
+
+// ErrKind returns the wire error kind.
+func (e *RedispatchExhaustedError) ErrKind() string { return "redispatch_exhausted" }
 
 // tryOutcome is one placement attempt's report back to the dispatch
 // orchestrator.
@@ -179,7 +221,7 @@ func (c *Coordinator) try(w *worker, key string, spec exp.CellSpec, agg chan<- t
 // callWorker runs the worker-side protocol for one cell: submit the spec,
 // then long-poll the job result. The call aborts the moment the worker's
 // down channel closes (failure detector, broken connection elsewhere, or a
-// re-registration), surfacing a typed *exp.WorkerLostError so the
+// re-registration), surfacing a typed *WorkerLostError so the
 // orchestrator re-dispatches instead of waiting out an HTTP timeout against
 // a dead peer. A connection-level failure additionally condemns the worker:
 // refusing connections is stronger evidence than a missed heartbeat.
@@ -194,7 +236,7 @@ func (c *Coordinator) callWorker(w *worker, key string, spec exp.CellSpec) (exp.
 		}
 	}()
 	lost := func() (exp.CellResult, error) {
-		return exp.CellResult{}, &exp.WorkerLostError{Worker: w.id, Key: key}
+		return exp.CellResult{}, &WorkerLostError{Worker: w.id, Key: key}
 	}
 
 	body, err := json.Marshal(spec)

@@ -62,7 +62,7 @@ type Config struct {
 	// before the cell degrades (default 30s).
 	WorkerWait time.Duration
 	// DisableLocalFallback makes an unplaceable cell fail with a typed
-	// *exp.RedispatchExhaustedError instead of simulating locally. The
+	// *RedispatchExhaustedError instead of simulating locally. The
 	// default (fallback enabled) keeps a worker-less coordinator behaving
 	// exactly like a plain daemon.
 	DisableLocalFallback bool

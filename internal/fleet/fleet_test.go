@@ -17,6 +17,23 @@ import (
 	"svmsim/internal/walltime"
 )
 
+// TestHarnessErrorKinds pins the fleet's typed failures to their wire kinds
+// and retry dispositions: the worker or the placement failed, not the
+// simulation, so each is worth re-running elsewhere.
+func TestHarnessErrorKinds(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		kind string
+	}{
+		{&WorkerLostError{Worker: "w1", Key: "k"}, "worker_lost"},
+		{&RedispatchExhaustedError{Key: "k", Attempts: 4, Last: "dead"}, "redispatch_exhausted"},
+	} {
+		if kind := exp.ErrKind(c.err); kind != c.kind || !exp.RetryableKind(kind) {
+			t.Errorf("%T classified %q (retryable %v), want retryable %q", c.err, kind, exp.RetryableKind(kind), c.kind)
+		}
+	}
+}
+
 // waitUntil polls cond until it holds or the budget expires.
 func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 	t.Helper()

@@ -7,156 +7,53 @@ import (
 	"strings"
 )
 
-// errkind enforces exhaustiveness over the simulator's error taxonomy. The
-// typed failures — *StallError, *LostPageError, *LinkFailureError and
-// whatever a future PR adds — carry two behavioral contracts besides their
-// message: a wire kind (exp.ErrKind maps each type to the schema-v1
-// "err_kind" string that the daemon, the CLI and the disk cache all agree
-// on) and a retry disposition (exp's deterministicErr decides whether a
-// failed cell is re-simulated: modeled failures are deterministic and retry
-// only re-pays the full simulation cost, host-level flakiness is worth
-// retrying). Both are hand-written switches over errors.As, so adding an
-// error type and forgetting one of them compiles fine and degrades silently:
-// the new failure reports the catch-all "failed" kind, or burns the retry
-// budget reproducing a deterministic error.
+// errkind holds the simulator's error taxonomy to one owner per kind. Every
+// typed failure — *StallError, *LostPageError, *JobTimeoutError and whatever
+// a future change adds — names its own schema-v1 wire kind through an
+// ErrKind() string method; exp.ErrKind reads that method and exp.RetryableKind
+// turns the kind into the retry decision. An error type without the method
+// compiles fine and degrades silently: the new failure reports the catch-all
+// "failed" kind and is retried as host weather even if it is a deterministic
+// modeled outcome.
 //
-// The analyzer collects every exported struct type named *Error that
-// implements error (alias re-exports like svmsim.StallError are the same
-// type and don't double-count), then requires each to be mentioned — through
-// any package's name for it — in the body of every classifier: the functions
-// named ErrKind with signature func(error) string, and the retry-skip
-// predicate deterministicErr with signature func(error) bool. When the
-// program has no classifier (a partial load that skips internal/exp) the
-// analyzer is inert: exhaustiveness is a property of the pairing, not of the
-// types alone.
+// The analyzer checks each package on its own: every exported struct type
+// named *Error that implements error must also have the method ErrKind()
+// string (on the value or the pointer receiver). Alias re-exports like
+// svmsim.StallError are the same type and are not declarations of their own.
+
+// errkindIface is interface{ ErrKind() string }.
+var errkindIface = types.NewInterfaceType([]*types.Func{
+	types.NewFunc(token.NoPos, nil, "ErrKind", types.NewSignatureType(nil, nil, nil, nil,
+		types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String])), false)),
+}, nil).Complete()
 
 func errkindRun(pass *Pass) {
-	prog := pass.Prog
+	pkg := pass.Pkg
 	errIface, _ := types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-	if errIface == nil {
-		return
-	}
-
-	type member struct {
-		named *types.Named
-		label string
-		pos   token.Pos
-	}
-	var taxonomy []member
-	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || ts.Assign.IsValid() || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Error") {
 					continue
 				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok || ts.Assign.IsValid() || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Error") {
-						continue
-					}
-					obj, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-					if obj == nil {
-						continue
-					}
-					named, _ := types.Unalias(obj.Type()).(*types.Named)
-					if named == nil {
-						continue
-					}
-					if _, isStruct := named.Underlying().(*types.Struct); !isStruct {
-						continue
-					}
-					if !types.Implements(types.NewPointer(named), errIface) && !types.Implements(named, errIface) {
-						continue
-					}
-					taxonomy = append(taxonomy, member{
-						named: named,
-						label: pkg.Name + "." + ts.Name.Name,
-						pos:   ts.Name.Pos(),
-					})
+				obj, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
+				if obj == nil {
+					continue
 				}
+				if _, isStruct := obj.Type().Underlying().(*types.Struct); !isStruct {
+					continue
+				}
+				ptr := types.NewPointer(obj.Type())
+				if !types.Implements(ptr, errIface) || types.Implements(ptr, errkindIface) {
+					continue
+				}
+				pass.Report(ts.Name.Pos(), "error type %s.%s has no ErrKind() string method; every typed failure names its own wire kind (or justify with //svmlint:ignore errkind <reason>)", pkg.Name, ts.Name.Name)
 			}
 		}
 	}
-	if len(taxonomy) == 0 {
-		return
-	}
-
-	classifiers := errkindFuncs(prog, "ErrKind", types.Typ[types.String])
-	if len(classifiers) == 0 {
-		return
-	}
-	retries := errkindFuncs(prog, "deterministicErr", types.Typ[types.Bool])
-
-	classified := errkindMentioned(classifiers)
-	handled := errkindMentioned(retries)
-	for _, m := range taxonomy {
-		if !classified[m.named] {
-			pass.Report(m.pos, "error type %s is not classified by ErrKind; every typed failure needs a structured wire kind — add an errors.As case (or justify with //svmlint:ignore errkind <reason>)", m.label)
-		}
-		if len(retries) > 0 && !handled[m.named] {
-			pass.Report(m.pos, "error type %s is not dispositioned by the retry-skip switch (deterministicErr); state explicitly whether the failure is deterministic", m.label)
-		}
-	}
-}
-
-// errkindFn is one classifier function found in the program.
-type errkindFn struct {
-	pkg  *Package
-	decl *ast.FuncDecl
-}
-
-// errkindFuncs finds receiver-less functions named name with signature
-// func(error) <result>.
-func errkindFuncs(prog *Program, name string, result *types.Basic) []errkindFn {
-	var out []errkindFn
-	for _, pkg := range prog.Pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv != nil || fd.Body == nil || fd.Name.Name != name {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				sig, _ := fn.Type().(*types.Signature)
-				if sig == nil || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
-					continue
-				}
-				if !types.Identical(sig.Params().At(0).Type(), types.Universe.Lookup("error").Type()) {
-					continue
-				}
-				if !types.Identical(sig.Results().At(0).Type(), result) {
-					continue
-				}
-				out = append(out, errkindFn{pkg: pkg, decl: fd})
-			}
-		}
-	}
-	return out
-}
-
-// errkindMentioned collects every named type referenced (under any alias or
-// package qualifier) in the classifier bodies.
-func errkindMentioned(fns []errkindFn) map[*types.Named]bool {
-	mentioned := map[*types.Named]bool{}
-	for _, f := range fns {
-		ast.Inspect(f.decl.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			tn, ok := f.pkg.objectOf(id).(*types.TypeName)
-			if !ok {
-				return true
-			}
-			if named, ok := types.Unalias(tn.Type()).(*types.Named); ok {
-				mentioned[named] = true
-			}
-			return true
-		})
-	}
-	return mentioned
 }

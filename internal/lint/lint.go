@@ -8,9 +8,8 @@
 //
 // The driver is a whole-program analyzer: every package of a run is fully
 // type-checked (stdlib go/types + go/importer only) in dependency order, so
-// cross-package facts — the call graph, struct-field write sites, the error
-// taxonomy — resolve to one consistent types.Object per entity. Per-package
-// analyzers:
+// cross-package facts — the call graph, struct-field write sites — resolve
+// to one consistent types.Object per entity. Per-package analyzers:
 //
 //   - detmap: no order-dependent iteration over Go maps in simulation packages
 //   - wallclock: no host wall-clock or global-rand use in internal/ simulation
@@ -26,6 +25,9 @@
 //     never mixes expressions carrying different units (Cycles vs Ns vs
 //     Bytes), and wall-clock-derived values never flow into simulated-time
 //     sinks outside internal/walltime
+//   - errkind: every exported *Error type declares ErrKind() string, its
+//     schema-v1 wire kind (exp.ErrKind and exp.RetryableKind derive the
+//     rest)
 //
 // Whole-program analyzers (these are the reason the driver type-checks the
 // full load set):
@@ -36,8 +38,6 @@
 //   - statwire: every exported numeric field of internal/stats carries a
 //     snake_case JSON tag (the pinned v1 wire schema) and has at least one
 //     write site somewhere in the program
-//   - errkind: every exported *Error type in the error taxonomy is
-//     classified by exp.ErrKind and dispositioned by the retry-skip switch
 //
 // Findings can be suppressed line-by-line with a mandatory written reason:
 //
@@ -167,10 +167,9 @@ func Analyzers() []*Analyzer {
 			Run:          statwireRun,
 		},
 		{
-			Name:         "errkind",
-			Doc:          "requires every typed *Error in the taxonomy to be classified by ErrKind and the retry-skip switch",
-			WholeProgram: true,
-			Run:          errkindRun,
+			Name: "errkind",
+			Doc:  "requires every exported *Error type to name its wire kind with an ErrKind() string method",
+			Run:  errkindRun,
 		},
 	}
 }

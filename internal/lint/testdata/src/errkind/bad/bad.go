@@ -1,28 +1,24 @@
-// Package fail exercises errkind: an error type missing from the wire-kind
-// classifier and from the retry-skip switch must be flagged at its
-// declaration.
+// Package fail exercises errkind: an exported error type that does not name
+// its wire kind must be flagged at its declaration.
 package fail
 
-// StallError is classified and dispositioned.
+// StallError names its kind.
 type StallError struct{}
 
 func (e *StallError) Error() string { return "stall" }
 
-// DriftError is in the taxonomy but both switches forgot it.
+// ErrKind returns the wire error kind.
+func (e *StallError) ErrKind() string { return "stall" }
+
+// DriftError forgot its kind.
 type DriftError struct{}
 
 func (e *DriftError) Error() string { return "drift" }
 
-// ErrKind maps typed failures to wire kinds.
-func ErrKind(err error) string {
-	if _, ok := err.(*StallError); ok {
-		return "stall"
-	}
-	return "failed"
-}
+// SkewError has a kind method of the wrong shape.
+type SkewError struct{}
 
-// deterministicErr decides whether a failure is worth retrying.
-func deterministicErr(err error) bool {
-	_, ok := err.(*StallError)
-	return ok
-}
+func (e *SkewError) Error() string { return "skew" }
+
+// ErrKind returns a code, not a wire kind string.
+func (e *SkewError) ErrKind() int { return 1 }

@@ -109,6 +109,9 @@ func (e *LinkFailureError) Error() string {
 		e.Src, e.Dst, e.Kind, e.Seq, e.Attempts, e.NowCycles)
 }
 
+// ErrKind returns the wire error kind.
+func (e *LinkFailureError) ErrKind() string { return "link_failure" }
+
 // relPeer holds one NI's transport state toward (and from) one peer:
 // sender-side sequencing and pending retransmit queue for traffic we send to
 // the peer, receiver-side resequencing for traffic the peer sends us.

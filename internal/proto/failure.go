@@ -51,6 +51,9 @@ func (e *LostPageError) Error() string {
 		e.Page, e.DeadHome, e.Node, e.NowCycles)
 }
 
+// ErrKind returns the wire error kind.
+func (e *LostPageError) ErrKind() string { return "lost_page" }
+
 // failureDetector is the cluster's heartbeat failure detector and recovery
 // driver. Like the barrier state it is a single shared structure: per-node
 // views (lastHeard) are indexed by observer, and membership (dead) is

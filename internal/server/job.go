@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"svmsim/internal/exp"
 	"svmsim/internal/walltime"
@@ -59,6 +60,27 @@ type outcome struct {
 	errMsg  string
 }
 
+// JobTimeoutError reports a serving-layer job whose attempt exceeded the
+// daemon's wall-clock deadline (the worker watchdog). It is a harness
+// failure, not a simulation outcome: the simulated run itself has no notion
+// of wall time, so the error carries the job's content key and the attempt
+// count rather than any simulated state.
+type JobTimeoutError struct {
+	// Key is the content address of the timed-out work.
+	Key string
+	// Attempt is the 1-based attempt that tripped the deadline.
+	Attempt int
+	// Deadline is the per-attempt wall-clock budget that was exceeded.
+	Deadline time.Duration
+}
+
+func (e *JobTimeoutError) Error() string {
+	return fmt.Sprintf("job attempt %d exceeded the %v deadline (key %s)", e.Attempt, e.Deadline, e.Key)
+}
+
+// ErrKind returns the wire error kind.
+func (e *JobTimeoutError) ErrKind() string { return "job_timeout" }
+
 // workers run jobs from the queue until it is closed (drain).
 func (s *Server) worker() {
 	defer s.workers.Done()
@@ -70,7 +92,7 @@ func (s *Server) worker() {
 // runJob supervises one job: each attempt executes on its own goroutine
 // while the worker waits on either the outcome or the wall-clock deadline
 // (via the walltime boundary — the simulation itself never sees host time).
-// A deadline trip marks the attempt failed with a typed *exp.JobTimeoutError
+// A deadline trip marks the attempt failed with a typed *JobTimeoutError
 // and retries with exponential backoff, bounded by maxAttempts; a job that
 // exhausts its budget is quarantined instead of crash-looping. The abandoned
 // attempt's goroutine is not cancellable (the simulator has no preemption
@@ -101,7 +123,7 @@ func (s *Server) runJob(j *job) {
 			return
 		case <-deadline.C():
 			s.metrics.timedOut()
-			terr := &exp.JobTimeoutError{Key: j.key, Attempt: attempt, Deadline: s.jobDeadline}
+			terr := &JobTimeoutError{Key: j.key, Attempt: attempt, Deadline: s.jobDeadline}
 			if attempt >= s.maxAttempts {
 				s.quarantineJob(j, terr)
 				return

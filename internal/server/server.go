@@ -64,7 +64,7 @@ type Config struct {
 	JournalDir string
 	// JobDeadline bounds one execution attempt's wall-clock time; zero
 	// disables the watchdog. Expired attempts fail with a typed
-	// *exp.JobTimeoutError and are retried with exponential backoff.
+	// *JobTimeoutError and are retried with exponential backoff.
 	JobDeadline time.Duration
 	// MaxAttempts bounds the watchdog's attempts per job (default 3);
 	// a job that times out that many times is quarantined, not re-run.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"svmsim/internal/exp"
 )
 
 // counters snapshots the supervision counters for assertions.
@@ -67,8 +69,16 @@ func TestWatchdogRetriesThenSucceeds(t *testing.T) {
 // quarantined after MaxAttempts — terminal, addressable, serving a structured
 // job_timeout error — instead of crash-looping on the worker pool forever.
 func TestWatchdogQuarantine(t *testing.T) {
+	// The cell that proves the worker is released afterwards is simulated
+	// up front: its job then finishes from the suite memo, inside the 20 ms
+	// deadline on a loaded host too, yet the single worker must still pick
+	// it up.
+	suite, after := testSuite(), tinyWorkload("after")
+	if _, err := suite.RunCell(exp.Cell{Cfg: suite.Base(), W: after}); err != nil {
+		t.Fatal(err)
+	}
 	s, err := New(Config{
-		Suite: testSuite(), Workers: 1,
+		Suite: suite, Workers: 1,
 		JobDeadline: 20 * time.Millisecond, MaxAttempts: 2, RetryBackoff: time.Millisecond,
 	})
 	if err != nil {
@@ -80,6 +90,9 @@ func TestWatchdogQuarantine(t *testing.T) {
 	v := waitTerminal(t, s, jobID(t, rec))
 	if v.Status != statusQuarantined || v.ErrKind != "job_timeout" || v.Attempts != 2 {
 		t.Fatalf("poison job: %+v", v)
+	}
+	if !exp.RetryableKind(v.ErrKind) {
+		t.Fatal("job_timeout must be retryable: a deadline is host weather")
 	}
 
 	res := httptest.NewRecorder()
@@ -100,7 +113,7 @@ func TestWatchdogQuarantine(t *testing.T) {
 		t.Fatalf("counters: timeouts=%d quarantined=%d", timeouts, quarantined)
 	}
 	// The worker is free again: a fresh job runs to completion immediately.
-	rec2 := submitCell(s, tinyWorkload("after"))
+	rec2 := submitCell(s, after)
 	if v2 := waitTerminal(t, s, jobID(t, rec2)); v2.Status != statusDone {
 		t.Fatalf("worker not released after quarantine: %+v", v2)
 	}

@@ -50,18 +50,48 @@ import (
 	"svmsim/internal/stats"
 )
 
-// The twin's error taxonomy lives in internal/exp (the svmlint errkind
-// analyzer holds exp.ErrKind and deterministicErr exhaustive over every
-// typed failure, and exp cannot import this package); the aliases give the
-// types their natural names at the call sites that raise them.
-type (
-	// UncalibratedError reports a prediction or optimization request the
-	// twin has no calibrated model for.
-	UncalibratedError = exp.UncalibratedError
-	// InfeasibleError reports an optimization constraint no studied
-	// configuration can meet.
-	InfeasibleError = exp.InfeasibleError
-)
+// UncalibratedError reports a twin prediction or optimization request for a
+// (workload, mode, parameter) combination the analytical twin has no
+// calibrated model for — either calibration never ran, or the requested cell
+// deviates from the calibrated baseline on a dimension outside the model
+// (interrupt policy, request handling, fault plans, a foreign topology).
+type UncalibratedError struct {
+	// Workload and Mode identify the model that was consulted.
+	Workload string
+	Mode     string
+	// Reason says what exactly is outside the calibrated model.
+	Reason string
+}
+
+func (e *UncalibratedError) Error() string {
+	return fmt.Sprintf("twin has no calibrated model for %s/%s: %s", e.Workload, e.Mode, e.Reason)
+}
+
+// ErrKind returns the wire error kind.
+func (e *UncalibratedError) ErrKind() string { return "uncalibrated" }
+
+// InfeasibleError reports an optimization query no configuration in the
+// studied parameter space can satisfy: even with every communication
+// parameter at its most aggressive studied value the predicted speedup stays
+// below the requested minimum. It carries the best achievable prediction so
+// callers can report how far short the parameter space falls.
+type InfeasibleError struct {
+	// Workload and Mode identify the model that was searched.
+	Workload string
+	Mode     string
+	// MinSpeedup is the requested constraint.
+	MinSpeedup float64
+	// Best is the highest predicted speedup in the studied space.
+	Best float64
+}
+
+func (e *InfeasibleError) Error() string {
+	return fmt.Sprintf("no studied configuration reaches speedup %.3g for %s/%s (best predicted: %.3g)",
+		e.MinSpeedup, e.Workload, e.Mode, e.Best)
+}
+
+// ErrKind returns the wire error kind.
+func (e *InfeasibleError) ErrKind() string { return "infeasible" }
 
 // Axis names one modeled parameter dimension.
 type Axis int
