@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint lint-baseline lint-report build test race chaos serve-smoke chaos-serve fleet-smoke twin-validate bench bench-engine bench-smoke bench-snapshot experiments faults
+.PHONY: check vet lint lint-baseline lint-report build test perfbench-selftest race chaos serve-smoke chaos-serve fleet-smoke twin-validate bench bench-engine bench-smoke bench-snapshot experiments faults
 
-check: vet lint build test race chaos serve-smoke chaos-serve fleet-smoke twin-validate
+check: vet lint build test perfbench-selftest race chaos serve-smoke chaos-serve fleet-smoke twin-validate
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +37,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is a nested module (the benchmark harness), so `go build ./...`
+# and `go test ./...` above never compile it; its self-test catches an
+# internal API change that would break the benchmark.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 # The race set covers the packages with real concurrency (the parallel
 # experiment Runner, the engine, the serving daemon's worker pool and

@@ -142,54 +142,21 @@ func buildTrace(traceFile, param, appsFlag, mode string) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out [][]byte
-	emit := func(spec exp.CellSpec) error {
-		spec.Mode = mode
-		data, err := json.Marshal(spec)
-		if err != nil {
-			return err
-		}
-		out = append(out, data)
-		return nil
+	i, ok := exp.AxisIndex(param)
+	if !ok {
+		return nil, fmt.Errorf("loadgen: unknown -param %q", param)
 	}
+	ax := &exp.Axes[i]
+	var out [][]byte
 	for _, w := range wls {
-		var specs []exp.CellSpec
-		switch param {
-		case "overhead":
-			for _, p := range exp.HostOverheadPoints {
-				v := p
-				specs = append(specs, exp.CellSpec{Workload: w.Name, HostOverheadCycles: &v})
-			}
-		case "occupancy":
-			for _, p := range exp.OccupancyPoints {
-				v := p
-				specs = append(specs, exp.CellSpec{Workload: w.Name, NIOccupancyCycles: &v})
-			}
-		case "iobw":
-			for _, p := range exp.IOBandwidthPoints {
-				v := p
-				specs = append(specs, exp.CellSpec{Workload: w.Name, IOBytesPerCycle: &v})
-			}
-		case "interrupt":
-			for _, p := range exp.InterruptPoints {
-				v := p
-				specs = append(specs, exp.CellSpec{Workload: w.Name, IntrHalfCostCycles: &v})
-			}
-		case "pagesize":
-			for _, p := range exp.PageSizePoints {
-				specs = append(specs, exp.CellSpec{Workload: w.Name, PageBytes: p})
-			}
-		case "clustering":
-			for _, p := range exp.ClusteringPoints {
-				specs = append(specs, exp.CellSpec{Workload: w.Name, PPN: p})
-			}
-		default:
-			return nil, fmt.Errorf("loadgen: unknown -param %q", param)
-		}
-		for _, s := range specs {
-			if err := emit(s); err != nil {
+		for _, p := range ax.Points {
+			spec := exp.CellSpec{Workload: w.Name, Mode: mode}
+			ax.Spec(&spec, p)
+			data, err := json.Marshal(spec)
+			if err != nil {
 				return nil, err
 			}
+			out = append(out, data)
 		}
 	}
 	return out, nil

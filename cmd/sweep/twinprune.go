@@ -26,10 +26,10 @@ func runTwinPruned(s *exp.Suite, spec exp.SweepSpec, eps, target float64) (exp.S
 	if err != nil {
 		return exp.SweepResult{}, err
 	}
-	axis, ok := twin.AxisForParam(spec.Param)
-	if !ok {
-		return exp.SweepResult{}, fmt.Errorf("no twin axis models parameter %q", spec.Param)
-	}
+	// ResolveSweep accepted the name, so it indexes the axis table (whose
+	// order twin.Axis follows).
+	i, _ := exp.AxisIndex(spec.Param)
+	axis, ax := twin.Axis(i), &exp.Axes[i]
 
 	// Count real simulations from here on, calibration anchors included —
 	// the honest denominator for the reduction claim.
@@ -64,7 +64,7 @@ func runTwinPruned(s *exp.Suite, spec exp.SweepSpec, eps, target float64) (exp.S
 		mu.Lock()
 		keys = append(keys, c.Key())
 		labels = append(labels, fmt.Sprintf("%s@%s=%g(±%.1f%%)",
-			c.W.Name, spec.Param, axis.Value(&c.Cfg), p.RelCI*100))
+			c.W.Name, spec.Param, ax.Get(c.Cfg), p.RelCI*100))
 		mu.Unlock()
 		return run, true
 	}

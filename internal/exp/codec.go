@@ -81,13 +81,13 @@ func (s *Suite) ResolveCell(spec CellSpec) (Cell, error) {
 	if spec.PPN > 0 {
 		cfg.ProcsPerNode = spec.PPN
 	}
-	switch strings.ToLower(spec.Mode) {
-	case "", "hlrc":
-		cfg.Proto.Mode = svmsim.HLRC
-	case "aurc":
+	aurc, err := ParseMode(spec.Mode)
+	if err != nil {
+		return Cell{}, fmt.Errorf("exp: %w", err)
+	}
+	cfg.Proto.Mode = svmsim.HLRC
+	if aurc {
 		cfg.Proto.Mode = svmsim.AURC
-	default:
-		return Cell{}, fmt.Errorf("exp: unknown protocol mode %q (want hlrc or aurc)", spec.Mode)
 	}
 	if spec.HostOverheadCycles != nil {
 		cfg.Net.HostOverheadCycles = *spec.HostOverheadCycles
@@ -161,14 +161,10 @@ func SpecFromCell(c Cell) (CellSpec, bool) {
 		Procs:    cfg.Procs,
 		PPN:      cfg.ProcsPerNode,
 	}
-	switch cfg.Proto.Mode {
-	case svmsim.HLRC:
-		spec.Mode = "hlrc"
-	case svmsim.AURC:
-		spec.Mode = "aurc"
-	default:
+	if cfg.Proto.Mode != svmsim.HLRC && cfg.Proto.Mode != svmsim.AURC {
 		return CellSpec{}, false
 	}
+	spec.Mode = ModeName(cfg.Proto.Mode == svmsim.AURC)
 	ho := cfg.Net.HostOverheadCycles
 	occ := cfg.Net.NIOccupancyCycles
 	iobw := cfg.Net.IOBytesPerCycle
@@ -200,6 +196,27 @@ func SpecFromCell(c Cell) (CellSpec, bool) {
 	spec.NIsPerNode = cfg.NIsPerNode
 	spec.AllLocal = cfg.Proto.AllLocal
 	return spec, true
+}
+
+// ParseMode parses a wire protocol selection: empty or "hlrc" (any case)
+// is HLRC, "aurc" is AURC. The error carries no package prefix, so each
+// caller reports it under its own.
+func ParseMode(mode string) (aurc bool, err error) {
+	switch strings.ToLower(mode) {
+	case "", "hlrc":
+		return false, nil
+	case "aurc":
+		return true, nil
+	}
+	return false, fmt.Errorf("unknown protocol mode %q (want hlrc or aurc)", mode)
+}
+
+// ModeName is the wire name of a protocol: "aurc" or "hlrc".
+func ModeName(aurc bool) string {
+	if aurc {
+		return "aurc"
+	}
+	return "hlrc"
 }
 
 // WorkloadByName resolves a workload by its presentation name
@@ -310,12 +327,11 @@ func ErrKind(err error) string {
 // failure worth re-running elsewhere ("job_timeout", "worker_lost", a
 // panic, an unclassified harness error) as opposed to a deterministic
 // simulation outcome that fails identically on every attempt and every
-// worker ("stall", "lost_page", ...). It is the one retry table: the
-// in-process retry loop consults it through ErrKind, and the coordinator
-// sees worker failures only as wire kinds. A panic inside a simulated
-// thread usually reproduces, but its causes include environmental limits
-// (stack, memory), so it stays retryable. The empty kind (success) is not
-// retryable.
+// worker ("stall", "lost_page", ...). It is the one retry table: the fleet
+// coordinator consults it on the wire kinds worker failures arrive as. A
+// panic inside a simulated thread usually reproduces, but its causes
+// include environmental limits (stack, memory), so it stays retryable. The
+// empty kind (success) is not retryable.
 func RetryableKind(kind string) bool {
 	switch kind {
 	case "", "stall", "lost_page", "link_failure", "deadlock", "livelock",
@@ -371,8 +387,7 @@ func DecodeCellResult(data []byte) (CellResult, error) {
 type SweepSpec struct {
 	// Schema is the wire-schema version; zero means current.
 	Schema int `json:"schema,omitempty"`
-	// Param names the swept parameter: overhead, occupancy, iobw,
-	// interrupt, pagesize or clustering.
+	// Param names the swept parameter: an Axes name.
 	Param string `json:"param"`
 	// Apps selects a workload subset; empty means all.
 	Apps []string `json:"apps,omitempty"`
@@ -468,18 +483,12 @@ func (s *Suite) ResolveSweep(spec SweepSpec) ([]svmsim.Workload, bool, error) {
 	if spec.Schema != 0 && spec.Schema != SchemaVersion {
 		return nil, false, fmt.Errorf("exp: unsupported schema version %d (have %d)", spec.Schema, SchemaVersion)
 	}
-	switch spec.Param {
-	case "overhead", "occupancy", "iobw", "interrupt", "pagesize", "clustering":
-	default:
+	if _, ok := AxisIndex(spec.Param); !ok {
 		return nil, false, fmt.Errorf("exp: unknown parameter %q", spec.Param)
 	}
-	var aurc bool
-	switch strings.ToLower(spec.Mode) {
-	case "", "hlrc":
-	case "aurc":
-		aurc = true
-	default:
-		return nil, false, fmt.Errorf("exp: unknown protocol mode %q (want hlrc or aurc)", spec.Mode)
+	aurc, err := ParseMode(spec.Mode)
+	if err != nil {
+		return nil, false, fmt.Errorf("exp: %w", err)
 	}
 	wls, err := SelectWorkloads(spec.Apps)
 	if err != nil {
@@ -501,11 +510,7 @@ func (s *Suite) RunSweep(spec SweepSpec) (SweepResult, error) {
 	if err != nil {
 		return SweepResult{}, err
 	}
-	mode := "hlrc"
-	if aurc {
-		mode = "aurc"
-	}
-	return SweepResult{Schema: SchemaVersion, Param: spec.Param, Mode: mode, Table: TableToResult(tbl)}, nil
+	return SweepResult{Schema: SchemaVersion, Param: spec.Param, Mode: ModeName(aurc), Table: TableToResult(tbl)}, nil
 }
 
 // EncodeSweepResult renders the canonical encoding of a sweep result.

@@ -91,12 +91,10 @@ func TestCleanConfigKeyUnchangedByCrashSupport(t *testing.T) {
 	}
 }
 
-// TestDeterministicErrorNotRetried: modeled failures (here a watchdog
-// StallError) are reproducible, so the retry budget must not re-simulate
-// them; host-level panics keep their retries (TestRetriesRecoverFlakyCell).
+// TestDeterministicErrorNotRetried: a modeled failure (here a watchdog
+// StallError) keeps its structured type and is simulated exactly once.
 func TestDeterministicErrorNotRetried(t *testing.T) {
 	s := smallSuite(1)
-	s.Retries = 3
 	var log bytes.Buffer
 	s.Verbose = &log
 	cfg := s.Base()
@@ -108,7 +106,7 @@ func TestDeterministicErrorNotRetried(t *testing.T) {
 	if !errors.As(err, new(*svmsim.StallError)) {
 		t.Fatalf("not a structured stall: %v", err)
 	}
-	if n := strings.Count(log.String(), "retry "); n != 0 {
-		t.Fatalf("deterministic error re-simulated %d times:\n%s", n, log.String())
+	if n := strings.Count(log.String(), "run "); n != 1 {
+		t.Fatalf("deterministic error simulated %d times:\n%s", n, log.String())
 	}
 }

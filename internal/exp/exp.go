@@ -40,9 +40,6 @@ type Suite struct {
 	// Parallelism bounds the Runner's worker pool. Zero or negative means
 	// GOMAXPROCS; 1 forces serial execution.
 	Parallelism int
-	// Retries is the number of extra attempts a failing cell gets before its
-	// error becomes the cell's cached result. Zero retries once-and-done.
-	Retries int
 	// CacheDir, when non-empty, persists every finished cell (result or
 	// error) to this directory so later sweeps — including other processes —
 	// start from the accumulated results instead of re-simulating. Entries
@@ -83,8 +80,16 @@ type Suite struct {
 	// cells as such.
 	Predict func(Cell) (*svmsim.RunStats, bool)
 
-	mu     sync.Mutex
-	logMu  sync.Mutex
+	mu    sync.Mutex
+	logMu sync.Mutex
+	// cache keeps each cell's whole svmsim.Result, the simulated World and
+	// its node memory images included, although readers only use
+	// Result.Run. Keeping just the RunStats was measured worse (2 vCPU,
+	// 30 s benchmark pairs at seeds 1 and 2): sweep-clustering peak RSS
+	// rose from 268/275 MB to 860/826 MB and its sweep time from 4.17/4.19 s
+	// to 4.33/4.97 s, and serve-fleet throughput fell from 130 to 115
+	// cells/s, because the freed 16 MB images are reused and zeroed by the
+	// next cells. Revisit once node memory is allocated lazily per page.
 	cache  map[string]*svmsim.Result
 	errs   map[string]error
 	flight map[string]*flight
@@ -207,11 +212,12 @@ func cfgKey(c svmsim.Config) string {
 // run executes (and caches) one workload on one configuration. It is safe
 // for concurrent use: the first caller for a key simulates while later
 // callers for the same key block on the shared flight and reuse its result.
-// A failing cell (error or panic) is retried up to Suite.Retries times; the
-// final error is cached too, so an error row renders once per sweep instead
-// of re-simulating for every table that shares the cell.
+// A failing cell's error (or panic) is cached too, so an error row renders
+// once per sweep instead of re-simulating for every table that shares the
+// cell; re-running retryable failures elsewhere is the fleet's job.
 func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, error) {
-	key := w.Name + "|" + cfgKey(cfg)
+	cell := Cell{Cfg: cfg, W: w}
+	key := cell.Key()
 	s.mu.Lock()
 	s.ensure()
 	observe := s.Observe
@@ -240,7 +246,6 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 	f := &flight{done: make(chan struct{})}
 	s.flight[key] = f
 	verbose := s.Verbose
-	retries := s.Retries
 	s.mu.Unlock()
 
 	var res *svmsim.Result
@@ -264,7 +269,7 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 		// worker's simulation. Predictions deliberately skip the CacheDir
 		// spill below — see the Predict field's cache-purity contract.
 		if predict := s.Predict; predict != nil {
-			if run, ok := predict(Cell{Cfg: cfg, W: w}); ok && run != nil {
+			if run, ok := predict(cell); ok && run != nil {
 				hit, source = true, SourcePredicted
 				res = &svmsim.Result{Run: run}
 				if verbose != nil {
@@ -275,7 +280,7 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 	}
 	if !hit {
 		if remote := s.Remote; remote != nil {
-			if rr, ok := remote(Cell{Cfg: cfg, W: w}); ok && (rr.Run != nil || rr.Err != "") {
+			if rr, ok := remote(cell); ok && (rr.Run != nil || rr.Err != "") {
 				hit, source = true, SourceRemote
 				if rr.Err != "" {
 					// The worker already wrapped the error with workload and
@@ -296,22 +301,13 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 		}
 	}
 	var simSeconds float64
-	for attempt := 0; !hit; attempt++ {
+	if !hit {
 		if verbose != nil {
-			if attempt == 0 {
-				s.logf(verbose, "run %-12s %s\n", w.Name, cfgKey(cfg))
-			} else {
-				s.logf(verbose, "retry %-10s %s (attempt %d: %v)\n", w.Name, cfgKey(cfg), attempt+1, err)
-			}
+			s.logf(verbose, "run %-12s %s\n", w.Name, cfgKey(cfg))
 		}
 		sw := walltime.Start()
 		res, err = s.simulate(cfg, w)
-		simSeconds += sw.Seconds()
-		if err == nil || attempt >= retries || !RetryableKind(ErrKind(err)) {
-			break
-		}
-	}
-	if !hit {
+		simSeconds = sw.Seconds()
 		if err != nil {
 			err = fmt.Errorf("%s on %s: %w", w.Name, cfgKey(cfg), err)
 		}

@@ -129,14 +129,22 @@ func (s *Suite) Figure4() (*Table, error) {
 		func(p *stats.Proc) uint64 { return p.BytesSent }, 1.0/(1<<20))
 }
 
-// paramSweep runs a speedup sweep over configurations derived from the base.
-func (s *Suite) paramSweep(id, title string, labels []string, mk []func(svmsim.Config) svmsim.Config, wls []svmsim.Workload) (*Table, error) {
+// paramSweep runs a speedup sweep of one axis over its studied points,
+// every other parameter at the suite baseline, under AURC when aurc is set.
+func (s *Suite) paramSweep(id, title string, ax *Axis, labels []string, aurc bool, wls []svmsim.Workload) (*Table, error) {
 	t := &Table{ID: id, Title: title, Cols: labels}
+	cfgs := make([]svmsim.Config, len(ax.Points))
+	for i, v := range ax.Points {
+		cfgs[i] = ax.Set(s.Base(), v)
+		if aurc {
+			cfgs[i].Proto.Mode = svmsim.AURC
+		}
+	}
 	var cells []Cell
 	for _, w := range wls {
 		cells = append(cells, s.uniCell(w))
-		for _, f := range mk {
-			cells = append(cells, Cell{Cfg: f(s.Base()), W: w})
+		for _, cfg := range cfgs {
+			cells = append(cells, Cell{Cfg: cfg, W: w})
 		}
 	}
 	if err := s.prefetch(cells); err != nil {
@@ -144,8 +152,8 @@ func (s *Suite) paramSweep(id, title string, labels []string, mk []func(svmsim.C
 	}
 	for _, w := range wls {
 		var vals []float64
-		for _, f := range mk {
-			sp, err := s.speedup(f(s.Base()), w)
+		for _, cfg := range cfgs {
+			sp, err := s.speedup(cfg, w)
 			if err != nil {
 				return nil, err
 			}
@@ -158,91 +166,50 @@ func (s *Suite) paramSweep(id, title string, labels []string, mk []func(svmsim.C
 
 // Figure5 reproduces the host-overhead sweep.
 func (s *Suite) Figure5() (*Table, error) {
-	labels := make([]string, len(HostOverheadPoints))
-	mk := make([]func(svmsim.Config) svmsim.Config, len(HostOverheadPoints))
-	for i, v := range HostOverheadPoints {
-		v := v
-		labels[i] = cyclesLabel(v)
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.Net.HostOverheadCycles = v; return c }
-	}
-	return s.paramSweep("Figure 5", "Speedup vs host overhead (cycles/message)", labels, mk, apps())
+	ax := &Axes[axOverhead]
+	return s.paramSweep("Figure 5", "Speedup vs host overhead (cycles/message)", ax, ax.Labels, false, apps())
 }
 
 // Figure7 reproduces the NI-occupancy sweep under HLRC.
 func (s *Suite) Figure7() (*Table, error) {
-	labels := make([]string, len(OccupancyPoints))
-	mk := make([]func(svmsim.Config) svmsim.Config, len(OccupancyPoints))
-	for i, v := range OccupancyPoints {
-		v := v
-		labels[i] = cyclesLabel(v)
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.Net.NIOccupancyCycles = v; return c }
-	}
-	return s.paramSweep("Figure 7", "Speedup vs NI occupancy (cycles/packet), HLRC", labels, mk, apps())
+	ax := &Axes[axOccupancy]
+	return s.paramSweep("Figure 7", "Speedup vs NI occupancy (cycles/packet), HLRC", ax, ax.Labels, false, apps())
 }
 
 // Figure8 reproduces the I/O-bus bandwidth sweep.
 func (s *Suite) Figure8() (*Table, error) {
+	// The recorded figure prints one decimal; the axis labels (and so
+	// SweepParam("iobw")) print "1" and "2".
 	labels := []string{"0.2", "0.5", "1.0", "2.0"}
-	mk := make([]func(svmsim.Config) svmsim.Config, len(IOBandwidthPoints))
-	for i, v := range IOBandwidthPoints {
-		v := v
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.Net.IOBytesPerCycle = v; return c }
-	}
-	return s.paramSweep("Figure 8", "Speedup vs I/O bus bandwidth (MB/s per MHz)", labels, mk, apps())
+	return s.paramSweep("Figure 8", "Speedup vs I/O bus bandwidth (MB/s per MHz)", &Axes[axIOBw], labels, false, apps())
 }
 
 // Figure10 reproduces the interrupt-cost sweep.
 func (s *Suite) Figure10() (*Table, error) {
-	labels := make([]string, len(InterruptPoints))
-	mk := make([]func(svmsim.Config) svmsim.Config, len(InterruptPoints))
-	for i, v := range InterruptPoints {
-		v := v
-		labels[i] = cyclesLabel(v)
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.IntrHalfCostCycles = v; return c }
-	}
-	return s.paramSweep("Figure 10", "Speedup vs interrupt cost (cycles per half)", labels, mk, apps())
+	ax := &Axes[axInterrupt]
+	return s.paramSweep("Figure 10", "Speedup vs interrupt cost (cycles per half)", ax, ax.Labels, false, apps())
 }
 
 // Figure12 reproduces the NI-occupancy sweep under AURC, where occupancy
 // matters much more (fine-grain update packets).
 func (s *Suite) Figure12() (*Table, error) {
-	labels := make([]string, len(OccupancyPoints))
-	mk := make([]func(svmsim.Config) svmsim.Config, len(OccupancyPoints))
-	for i, v := range OccupancyPoints {
-		v := v
-		labels[i] = cyclesLabel(v)
-		mk[i] = func(c svmsim.Config) svmsim.Config {
-			c.Net.NIOccupancyCycles = v
-			c.Proto.Mode = svmsim.AURC
-			return c
-		}
-	}
+	ax := &Axes[axOccupancy]
 	// The paper shows a representative regular + irregular subset.
 	subset := pick("FFT", "LU", "Ocean", "Water-sp", "Barnes-reb")
-	return s.paramSweep("Figure 12", "Speedup vs NI occupancy (cycles/packet), AURC", labels, mk, subset)
+	return s.paramSweep("Figure 12", "Speedup vs NI occupancy (cycles/packet), AURC", ax, ax.Labels, true, subset)
 }
 
 // Figure13 reproduces the page-size sweep.
 func (s *Suite) Figure13() (*Table, error) {
-	labels := []string{"1K", "2K", "4K", "8K", "16K"}
-	mk := make([]func(svmsim.Config) svmsim.Config, len(PageSizePoints))
-	for i, v := range PageSizePoints {
-		v := v
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.Proto.PageBytes = v; return c }
-	}
-	return s.paramSweep("Figure 13", "Speedup vs page size", labels, mk, apps())
+	ax := &Axes[axPageSize]
+	return s.paramSweep("Figure 13", "Speedup vs page size", ax, ax.Labels, false, apps())
 }
 
 // Figure14 reproduces the clustering sweep (processors per node; total
 // fixed).
 func (s *Suite) Figure14() (*Table, error) {
-	labels := []string{"1", "2", "4", "8"}
-	mk := make([]func(svmsim.Config) svmsim.Config, len(ClusteringPoints))
-	for i, v := range ClusteringPoints {
-		v := v
-		mk[i] = func(c svmsim.Config) svmsim.Config { c.ProcsPerNode = v; return c }
-	}
-	return s.paramSweep("Figure 14", "Speedup vs degree of clustering (procs/node)", labels, mk, apps())
+	ax := &Axes[axClustering]
+	return s.paramSweep("Figure 14", "Speedup vs degree of clustering (procs/node)", ax, ax.Labels, false, apps())
 }
 
 // pick selects workloads by name.
@@ -284,60 +251,13 @@ func itoa(v int) string {
 // SweepParam runs a named single-parameter sweep over the given workloads,
 // optionally under AURC (the cmd/sweep entry point).
 func (s *Suite) SweepParam(param string, wls []svmsim.Workload, aurc bool) (*Table, error) {
-	withMode := func(f func(svmsim.Config) svmsim.Config) func(svmsim.Config) svmsim.Config {
-		return func(c svmsim.Config) svmsim.Config {
-			c = f(c)
-			if aurc {
-				c.Proto.Mode = svmsim.AURC
-			}
-			return c
-		}
-	}
-	var labels []string
-	var mk []func(svmsim.Config) svmsim.Config
-	switch param {
-	case "overhead":
-		for _, v := range HostOverheadPoints {
-			v := v
-			labels = append(labels, cyclesLabel(v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.Net.HostOverheadCycles = v; return c }))
-		}
-	case "occupancy":
-		for _, v := range OccupancyPoints {
-			v := v
-			labels = append(labels, cyclesLabel(v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.Net.NIOccupancyCycles = v; return c }))
-		}
-	case "iobw":
-		for _, v := range IOBandwidthPoints {
-			v := v
-			labels = append(labels, fmt.Sprintf("%.2g", v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.Net.IOBytesPerCycle = v; return c }))
-		}
-	case "interrupt":
-		for _, v := range InterruptPoints {
-			v := v
-			labels = append(labels, cyclesLabel(v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.IntrHalfCostCycles = v; return c }))
-		}
-	case "pagesize":
-		for _, v := range PageSizePoints {
-			v := v
-			labels = append(labels, fmt.Sprintf("%dK", v/1024))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.Proto.PageBytes = v; return c }))
-		}
-	case "clustering":
-		for _, v := range ClusteringPoints {
-			v := v
-			labels = append(labels, itoa(v))
-			mk = append(mk, withMode(func(c svmsim.Config) svmsim.Config { c.ProcsPerNode = v; return c }))
-		}
-	default:
+	i, ok := AxisIndex(param)
+	if !ok {
 		return nil, fmt.Errorf("exp: unknown parameter %q", param)
 	}
 	title := "Speedup vs " + param
 	if aurc {
 		title += " (AURC)"
 	}
-	return s.paramSweep("Sweep", title, labels, mk, wls)
+	return s.paramSweep("Sweep", title, &Axes[i], Axes[i].Labels, aurc, wls)
 }

@@ -25,11 +25,9 @@ func (c Cell) Key() string { return c.W.Name + "|" + cfgKey(c.Cfg) }
 // cells that share a key (within the batch, and — through the suite's
 // singleflight cache — across concurrently running batches).
 type Runner struct {
-	// Suite provides the memo cache the results land in.
+	// Suite provides the memo cache the results land in and bounds the
+	// worker pool (Suite.Parallelism).
 	Suite *Suite
-	// Parallelism bounds the worker pool; zero or negative falls back to
-	// Suite.Parallelism, then to GOMAXPROCS.
-	Parallelism int
 }
 
 // Runner returns a runner bound to the suite's configured parallelism.
@@ -37,10 +35,7 @@ func (s *Suite) Runner() *Runner { return &Runner{Suite: s} }
 
 // workers resolves the effective worker-pool size.
 func (r *Runner) workers() int {
-	n := r.Parallelism
-	if n <= 0 {
-		n = r.Suite.Parallelism
-	}
+	n := r.Suite.Parallelism
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}

@@ -10,57 +10,22 @@ import (
 )
 
 // Table3 reproduces the maximum-slowdown summary: for each application and
-// each parameter, the slowdown between the smallest and largest value in the
-// studied range (other parameters held at their achievable values). Negative
+// each axis, the slowdown from the best end of the studied range to the
+// worst (other parameters held at their achievable values). Negative
 // numbers indicate speedups, as in the paper.
 func (s *Suite) Table3() (*Table, error) {
 	t := &Table{ID: "Table 3",
-		Title: "Maximum slowdowns (%) across each parameter's range (negative = speedup)",
-		Cols:  []string{"HostOvh", "NIOcc", "IOBw", "Intr", "PageSz", "PPN"}}
-	type extreme struct {
-		best func(svmsim.Config) svmsim.Config
-		wrst func(svmsim.Config) svmsim.Config
-	}
-	params := []extreme{
-		{func(c svmsim.Config) svmsim.Config { c.Net.HostOverheadCycles = HostOverheadPoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.Net.HostOverheadCycles = HostOverheadPoints[len(HostOverheadPoints)-1]
-				return c
-			}},
-		{func(c svmsim.Config) svmsim.Config { c.Net.NIOccupancyCycles = OccupancyPoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.Net.NIOccupancyCycles = OccupancyPoints[len(OccupancyPoints)-1]
-				return c
-			}},
-		// Bandwidth: the "small value" is the HIGH bandwidth (best), the
-		// "big value" direction of degradation is the LOW bandwidth.
-		{func(c svmsim.Config) svmsim.Config {
-			c.Net.IOBytesPerCycle = IOBandwidthPoints[len(IOBandwidthPoints)-1]
-			return c
-		},
-			func(c svmsim.Config) svmsim.Config { c.Net.IOBytesPerCycle = IOBandwidthPoints[0]; return c }},
-		{func(c svmsim.Config) svmsim.Config { c.IntrHalfCostCycles = InterruptPoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.IntrHalfCostCycles = InterruptPoints[len(InterruptPoints)-1]
-				return c
-			}},
-		{func(c svmsim.Config) svmsim.Config { c.Proto.PageBytes = PageSizePoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.Proto.PageBytes = PageSizePoints[len(PageSizePoints)-1]
-				return c
-			}},
-		{func(c svmsim.Config) svmsim.Config { c.ProcsPerNode = ClusteringPoints[0]; return c },
-			func(c svmsim.Config) svmsim.Config {
-				c.ProcsPerNode = ClusteringPoints[len(ClusteringPoints)-1]
-				return c
-			}},
+		Title: "Maximum slowdowns (%) across each parameter's range (negative = speedup)"}
+	for i := range Axes {
+		t.Cols = append(t.Cols, Axes[i].Short)
 	}
 	var cells []Cell
 	for _, w := range apps() {
-		for _, pm := range params {
+		for i := range Axes {
+			ax := &Axes[i]
 			cells = append(cells,
-				Cell{Cfg: pm.best(s.Base()), W: w},
-				Cell{Cfg: pm.wrst(s.Base()), W: w})
+				Cell{Cfg: ax.Set(s.Base(), ax.Best()), W: w},
+				Cell{Cfg: ax.Set(s.Base(), ax.Worst()), W: w})
 		}
 	}
 	if err := s.prefetch(cells); err != nil {
@@ -68,12 +33,13 @@ func (s *Suite) Table3() (*Table, error) {
 	}
 	for _, w := range apps() {
 		var vals []float64
-		for _, pm := range params {
-			a, err := s.run(pm.best(s.Base()), w)
+		for i := range Axes {
+			ax := &Axes[i]
+			a, err := s.run(ax.Set(s.Base(), ax.Best()), w)
 			if err != nil {
 				return nil, err
 			}
-			b, err := s.run(pm.wrst(s.Base()), w)
+			b, err := s.run(ax.Set(s.Base(), ax.Worst()), w)
 			if err != nil {
 				return nil, err
 			}
@@ -120,17 +86,18 @@ func (s *Suite) Table4() (*Table, error) {
 }
 
 // correlate builds the normalized slowdown-vs-characteristic comparison of
-// Figures 6, 9 and 11: both the slowdown across a parameter's range and the
-// predicting application characteristic, each normalized to its maximum.
-func (s *Suite) correlate(id, title, predictorName string,
-	low, high func(svmsim.Config) svmsim.Config,
+// Figures 6, 9 and 11: both the slowdown across an axis's range (best end to
+// worst, as in Table 3) and the predicting application characteristic, each
+// normalized to its maximum.
+func (s *Suite) correlate(id, title, predictorName string, ax *Axis,
 	predictor func(run *svmsim.RunStats) float64) (*Table, error) {
 	t := &Table{ID: id, Title: title, Cols: []string{"NormSlowdown", "Norm" + predictorName}}
+	low, high := ax.Set(s.Base(), ax.Best()), ax.Set(s.Base(), ax.Worst())
 	var cells []Cell
 	for _, w := range apps() {
 		cells = append(cells,
-			Cell{Cfg: low(s.Base()), W: w},
-			Cell{Cfg: high(s.Base()), W: w},
+			Cell{Cfg: low, W: w},
+			Cell{Cfg: high, W: w},
 			Cell{Cfg: s.Base(), W: w})
 	}
 	if err := s.prefetch(cells); err != nil {
@@ -138,11 +105,11 @@ func (s *Suite) correlate(id, title, predictorName string,
 	}
 	var slows, preds []float64
 	for _, w := range apps() {
-		a, err := s.run(low(s.Base()), w)
+		a, err := s.run(low, w)
 		if err != nil {
 			return nil, err
 		}
-		b, err := s.run(high(s.Base()), w)
+		b, err := s.run(high, w)
 		if err != nil {
 			return nil, err
 		}
@@ -180,12 +147,7 @@ func (s *Suite) correlate(id, title, predictorName string,
 func (s *Suite) Figure6() (*Table, error) {
 	return s.correlate("Figure 6",
 		"Host-overhead slowdown vs messages sent (both normalized to their maxima)",
-		"Msgs",
-		func(c svmsim.Config) svmsim.Config { c.Net.HostOverheadCycles = HostOverheadPoints[0]; return c },
-		func(c svmsim.Config) svmsim.Config {
-			c.Net.HostOverheadCycles = HostOverheadPoints[len(HostOverheadPoints)-1]
-			return c
-		},
+		"Msgs", &Axes[axOverhead],
 		func(run *svmsim.RunStats) float64 {
 			return run.PerMComputeCycles(run.Sum(func(p *stats.Proc) uint64 { return p.MsgsSent }))
 		})
@@ -195,12 +157,7 @@ func (s *Suite) Figure6() (*Table, error) {
 func (s *Suite) Figure9() (*Table, error) {
 	return s.correlate("Figure 9",
 		"I/O-bandwidth slowdown vs bytes sent (both normalized to their maxima)",
-		"Bytes",
-		func(c svmsim.Config) svmsim.Config {
-			c.Net.IOBytesPerCycle = IOBandwidthPoints[len(IOBandwidthPoints)-1]
-			return c
-		},
-		func(c svmsim.Config) svmsim.Config { c.Net.IOBytesPerCycle = IOBandwidthPoints[0]; return c },
+		"Bytes", &Axes[axIOBw],
 		func(run *svmsim.RunStats) float64 {
 			return run.PerMComputeCycles(run.Sum(func(p *stats.Proc) uint64 { return p.BytesSent }))
 		})
@@ -211,12 +168,7 @@ func (s *Suite) Figure9() (*Table, error) {
 func (s *Suite) Figure11() (*Table, error) {
 	return s.correlate("Figure 11",
 		"Interrupt-cost slowdown vs page fetches + remote lock acquires (normalized)",
-		"Fetch+RLock",
-		func(c svmsim.Config) svmsim.Config { c.IntrHalfCostCycles = InterruptPoints[0]; return c },
-		func(c svmsim.Config) svmsim.Config {
-			c.IntrHalfCostCycles = InterruptPoints[len(InterruptPoints)-1]
-			return c
-		},
+		"Fetch+RLock", &Axes[axInterrupt],
 		func(run *svmsim.RunStats) float64 {
 			return run.PerMComputeCycles(run.Sum(func(p *stats.Proc) uint64 {
 				return p.PageFetches + p.RemoteLocks

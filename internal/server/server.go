@@ -392,15 +392,11 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 // parameters, so "fft" and "FFT" and the spelled-out default workload list
 // all land on one store entry.
 func sweepKey(param string, aurc bool, wls []svmsim.Workload) string {
-	mode := "hlrc"
-	if aurc {
-		mode = "aurc"
-	}
 	names := make([]string, 0, len(wls))
 	for _, w := range wls {
 		names = append(names, w.Name)
 	}
-	return "sweep|param=" + param + "|mode=" + mode + "|apps=" + strings.Join(names, ",")
+	return "sweep|param=" + param + "|mode=" + exp.ModeName(aurc) + "|apps=" + strings.Join(names, ",")
 }
 
 // submit runs admission control for a prepared job. In order: a draining

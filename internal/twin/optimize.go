@@ -59,20 +59,20 @@ type Choice struct {
 }
 
 // axisCost is the normalized hardware aggressiveness of choosing value v on
-// axis a: 0 for the cheapest studied value (highest overhead, lowest
-// bandwidth), 1 for the most aggressive. Faster hardware costs more — the
-// optimizer's "cheapest config achieving speedup ≥ S" minimizes the sum.
-func axisCost(a Axis, v float64, points []float64) float64 {
-	lo, hi := points[0], points[len(points)-1]
+// axis a: 0 for the cheapest studied value (the worst end: highest
+// overhead, lowest bandwidth), 1 for the most aggressive (the best end).
+// Faster hardware costs more — the optimizer's "cheapest config achieving
+// speedup ≥ S" minimizes the sum.
+func axisCost(a Axis, v float64) float64 {
+	ax := &exp.Axes[a]
+	lo, hi := ax.Points[0], ax.Points[len(ax.Points)-1]
 	if hi == lo {
 		return 0
 	}
 	frac := (v - lo) / (hi - lo)
-	if a == AxisIOBw {
-		// More bandwidth is the expensive end.
+	if ax.HighIsBest {
 		return frac
 	}
-	// Lower overhead/occupancy/interrupt cost is the expensive end.
 	return 1 - frac
 }
 
@@ -85,13 +85,13 @@ func axisCost(a Axis, v float64, points []float64) float64 {
 // predicted speedup, then toward the earlier grid point — determinism a
 // test enforces.
 func (t *Twin) Optimize(spec OptimizeSpec) (Choice, error) {
-	aurc, err := parseMode(spec.Mode)
+	aurc, err := exp.ParseMode(spec.Mode)
 	if err != nil {
-		return Choice{}, err
+		return Choice{}, fmt.Errorf("twin: %w", err)
 	}
 	m, ok := t.Model(spec.Workload, aurc)
 	if !ok {
-		return Choice{}, &UncalibratedError{Workload: spec.Workload, Mode: modeName(aurc), Reason: "no calibration has run"}
+		return Choice{}, &UncalibratedError{Workload: spec.Workload, Mode: exp.ModeName(aurc), Reason: "no calibration has run"}
 	}
 	for _, a := range CommAxes {
 		if m.axes[a] == nil {
@@ -101,15 +101,10 @@ func (t *Twin) Optimize(spec OptimizeSpec) (Choice, error) {
 
 	// Precompute each axis's time delta and cost at every grid point; the
 	// scan is then pure additions over small stack arrays.
-	grids := [4][]float64{
-		gridFloats(exp.HostOverheadPoints),
-		gridFloats(exp.OccupancyPoints),
-		append([]float64(nil), exp.IOBandwidthPoints...),
-		gridFloats(exp.InterruptPoints),
-	}
-	var deltas, costs [4][]float64
+	var grids, deltas, costs [4][]float64
 	baseT := float64(m.baseTime)
 	for i, a := range CommAxes {
+		grids[i] = exp.Axes[a].Points
 		deltas[i] = make([]float64, len(grids[i]))
 		costs[i] = make([]float64, len(grids[i]))
 		for j, v := range grids[i] {
@@ -119,7 +114,7 @@ func (t *Twin) Optimize(spec OptimizeSpec) (Choice, error) {
 					Reason: fmt.Sprintf("%s grid point %g outside the calibrated range", a.Param(), v)}
 			}
 			deltas[i][j] = ta - baseT
-			costs[i][j] = axisCost(a, v, grids[i])
+			costs[i][j] = axisCost(a, v)
 		}
 	}
 
@@ -160,7 +155,7 @@ func (t *Twin) Optimize(spec OptimizeSpec) (Choice, error) {
 
 	cfg := m.base
 	for i, a := range CommAxes {
-		axisApply(&cfg, a, grids[i][best[i]])
+		cfg = exp.Axes[a].Set(cfg, grids[i][best[i]])
 	}
 	pred, _, err := m.predict(cfg)
 	if err != nil {
@@ -183,9 +178,9 @@ func (t *Twin) Optimize(spec OptimizeSpec) (Choice, error) {
 // axes from anchor simulations run through the suite if they are missing —
 // the serving layer's entry point (see PredictCalibrating).
 func (t *Twin) OptimizeCalibrating(s *exp.Suite, spec OptimizeSpec) (Choice, error) {
-	aurc, err := parseMode(spec.Mode)
+	aurc, err := exp.ParseMode(spec.Mode)
 	if err != nil {
-		return Choice{}, err
+		return Choice{}, fmt.Errorf("twin: %w", err)
 	}
 	w, err := exp.WorkloadByName(spec.Workload)
 	if err != nil {
@@ -201,8 +196,7 @@ func (t *Twin) OptimizeCalibrating(s *exp.Suite, spec OptimizeSpec) (Choice, err
 // Sensitivities ranks the calibrated axes by their worst-vs-best predicted
 // slowdown, strongest first (stable on ties, axis order breaking them). The
 // metric is exactly Table 3's: slowdown from the best end of the studied
-// range to the worst end (high bandwidth is the best end of the I/O axis;
-// zero cost the best end of the others) — and since range endpoints are
+// range to the worst end (exp.Axis.Best) — and since range endpoints are
 // calibration anchors, these numbers equal the simulator's Table 3 bit for
 // bit.
 func (m *Model) Sensitivities() []Sensitivity {
@@ -213,8 +207,7 @@ func (m *Model) Sensitivities() []Sensitivity {
 			continue
 		}
 		bestT, worstT := ax.points[0].time, ax.points[len(ax.points)-1].time
-		if a == AxisIOBw {
-			// Low bandwidth (the first point) is the degraded end.
+		if exp.Axes[a].HighIsBest {
 			bestT, worstT = worstT, bestT
 		}
 		var pct float64
@@ -233,15 +226,6 @@ func (m *Model) Sensitivities() []Sensitivity {
 		for j := i; j > 0 && out[j].SlowdownPct > out[j-1].SlowdownPct; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
-	}
-	return out
-}
-
-// gridFloats widens a uint64 sweep grid to the axis coordinate space.
-func gridFloats(points []uint64) []float64 {
-	out := make([]float64, len(points))
-	for i, v := range points {
-		out[i] = float64(v)
 	}
 	return out
 }

@@ -58,7 +58,7 @@ func (t *Twin) Predict(c exp.Cell) (Prediction, error) {
 	m := t.models[modelKey{c.W.Name, aurc}]
 	t.mu.RUnlock()
 	if m == nil {
-		return Prediction{}, &UncalibratedError{Workload: c.W.Name, Mode: modeName(aurc), Reason: "no calibration has run"}
+		return Prediction{}, &UncalibratedError{Workload: c.W.Name, Mode: exp.ModeName(aurc), Reason: "no calibration has run"}
 	}
 	p, _, err := m.predict(c.Cfg)
 	return p, err
@@ -73,14 +73,11 @@ func (m *Model) predict(cfg svmsim.Config) (Prediction, detail, error) {
 		}, detail{uni: true}, nil
 	}
 
-	// Recompose the request from the baseline plus the six modeled
-	// coordinates: anything else differing (interrupt policy, request
-	// handling, topology, fault plans, ...) is outside the model.
-	composed := m.base
-	for a := Axis(0); a < NumAxes; a++ {
-		axisApply(&composed, a, axisValue(&cfg, a))
-	}
-	if composed != cfg {
+	// Reset the request's modeled coordinates to the baseline's: anything
+	// still differing (interrupt policy, request handling, topology, fault
+	// plans, ...) is outside the model.
+	vals, inModel := m.coords(cfg)
+	if !inModel {
 		return Prediction{}, detail{}, &UncalibratedError{
 			Workload: m.workload, Mode: m.Mode(),
 			Reason: "configuration deviates from the calibrated baseline outside the modeled axes",
@@ -94,8 +91,8 @@ func (m *Model) predict(cfg svmsim.Config) (Prediction, detail, error) {
 	total := baseT
 	var sumSq, sumAbs, maxAbs float64
 	for a := Axis(0); a < NumAxes; a++ {
-		v := axisValue(&cfg, a)
-		if v == axisValue(&m.base, a) {
+		v := vals[a]
+		if v == m.baseVals[a] {
 			continue
 		}
 		ax := m.axes[a]
@@ -223,7 +220,7 @@ func (t *Twin) PredictRun(c exp.Cell) (*svmsim.RunStats, error) {
 	m := t.models[modelKey{c.W.Name, aurc}]
 	t.mu.RUnlock()
 	if m == nil {
-		return nil, &UncalibratedError{Workload: c.W.Name, Mode: modeName(aurc), Reason: "no calibration has run"}
+		return nil, &UncalibratedError{Workload: c.W.Name, Mode: exp.ModeName(aurc), Reason: "no calibration has run"}
 	}
 	p, d, err := m.predict(c.Cfg)
 	if err != nil {
@@ -273,6 +270,21 @@ func (t *Twin) PredictCalibrating(s *exp.Suite, c exp.Cell) (Prediction, error) 
 	return t.Predict(c)
 }
 
+// coords reads cfg's six modeled coordinates; inModel is false when cfg
+// also deviates from the calibrated baseline outside them. Only deviating
+// axes are reset, so the common one-axis request copies the configuration
+// least.
+func (m *Model) coords(cfg svmsim.Config) (vals [NumAxes]float64, inModel bool) {
+	probe := cfg
+	for a := Axis(0); a < NumAxes; a++ {
+		vals[a] = exp.Axes[a].Get(cfg)
+		if vals[a] != m.baseVals[a] {
+			probe = exp.Axes[a].Set(probe, m.baseVals[a])
+		}
+	}
+	return vals, probe == m.base
+}
+
 // activeAxes lists the axes on which cfg deviates from the calibrated
 // baseline; ok is false when cfg deviates outside the modeled axes
 // entirely (no amount of calibration will cover it).
@@ -280,16 +292,13 @@ func (m *Model) activeAxes(cfg svmsim.Config) ([]Axis, bool) {
 	if cfg == m.uni {
 		return nil, true
 	}
-	composed := m.base
-	for a := Axis(0); a < NumAxes; a++ {
-		axisApply(&composed, a, axisValue(&cfg, a))
-	}
-	if composed != cfg {
+	vals, ok := m.coords(cfg)
+	if !ok {
 		return nil, false
 	}
 	var out []Axis
 	for a := Axis(0); a < NumAxes; a++ {
-		if axisValue(&cfg, a) != axisValue(&m.base, a) {
+		if vals[a] != m.baseVals[a] {
 			out = append(out, a)
 		}
 	}

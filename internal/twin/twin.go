@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"svmsim"
@@ -97,7 +96,8 @@ func (e *InfeasibleError) ErrKind() string { return "infeasible" }
 type Axis int
 
 // The six modeled axes: the paper's four communication parameters plus page
-// size and degree of clustering.
+// size and degree of clustering. An Axis indexes exp.Axes, which declares
+// each one's name, studied points and configuration field.
 const (
 	AxisHostOverhead Axis = iota
 	AxisOccupancy
@@ -113,42 +113,11 @@ const (
 // per-message costs).
 var CommAxes = []Axis{AxisHostOverhead, AxisOccupancy, AxisIOBw, AxisInterrupt}
 
-// Param returns the axis's cmd/sweep parameter name.
-func (a Axis) Param() string {
-	switch a {
-	case AxisHostOverhead:
-		return "overhead"
-	case AxisOccupancy:
-		return "occupancy"
-	case AxisIOBw:
-		return "iobw"
-	case AxisInterrupt:
-		return "interrupt"
-	case AxisPageSize:
-		return "pagesize"
-	case AxisClustering:
-		return "clustering"
-	}
-	return fmt.Sprintf("Axis(%d)", int(a))
-}
+// Param returns the axis's sweep parameter name.
+func (a Axis) Param() string { return exp.Axes[a].Name }
 
 // String names the axis for diagnostics.
 func (a Axis) String() string { return a.Param() }
-
-// Value reads the axis's coordinate from a configuration — the exported
-// read side of the axis mapping, for callers labeling cells by the swept
-// parameter (cmd/sweep's prune log).
-func (a Axis) Value(cfg *svmsim.Config) float64 { return axisValue(cfg, a) }
-
-// AxisForParam resolves a cmd/sweep parameter name to its axis.
-func AxisForParam(param string) (Axis, bool) {
-	for a := Axis(0); a < NumAxes; a++ {
-		if a.Param() == param {
-			return a, true
-		}
-	}
-	return 0, false
-}
 
 // anchorSeeds are the calibration anchor values per axis: the extremes of
 // each studied range (so Table 3's worst-vs-best sensitivities are
@@ -165,43 +134,6 @@ var anchorSeeds = [NumAxes][]float64{
 	AxisClustering:   {1, 4, 8},
 }
 
-// axisValue reads the axis coordinate from a configuration.
-func axisValue(cfg *svmsim.Config, a Axis) float64 {
-	switch a {
-	case AxisHostOverhead:
-		return float64(cfg.Net.HostOverheadCycles)
-	case AxisOccupancy:
-		return float64(cfg.Net.NIOccupancyCycles)
-	case AxisIOBw:
-		return cfg.Net.IOBytesPerCycle
-	case AxisInterrupt:
-		return float64(cfg.IntrHalfCostCycles)
-	case AxisPageSize:
-		return float64(cfg.Proto.PageBytes)
-	case AxisClustering:
-		return float64(cfg.ProcsPerNode)
-	}
-	return 0
-}
-
-// axisApply writes the axis coordinate into a configuration.
-func axisApply(cfg *svmsim.Config, a Axis, v float64) {
-	switch a {
-	case AxisHostOverhead:
-		cfg.Net.HostOverheadCycles = uint64(v)
-	case AxisOccupancy:
-		cfg.Net.NIOccupancyCycles = uint64(v)
-	case AxisIOBw:
-		cfg.Net.IOBytesPerCycle = v
-	case AxisInterrupt:
-		cfg.IntrHalfCostCycles = uint64(v)
-	case AxisPageSize:
-		cfg.Proto.PageBytes = int(v)
-	case AxisClustering:
-		cfg.ProcsPerNode = int(v)
-	}
-}
-
 // axisPos maps an axis coordinate to its interpolation position: identity
 // for the communication parameters (the paper's response curves are
 // near-linear in the parameter itself), log2 for page size and clustering
@@ -211,25 +143,6 @@ func axisPos(a Axis, v float64) float64 {
 		return math.Log2(v)
 	}
 	return v
-}
-
-// modeName renders the protocol for wire documents and error messages.
-func modeName(aurc bool) string {
-	if aurc {
-		return "aurc"
-	}
-	return "hlrc"
-}
-
-// parseMode parses a wire-spec protocol selection (empty means HLRC).
-func parseMode(mode string) (bool, error) {
-	switch strings.ToLower(mode) {
-	case "", "hlrc":
-		return false, nil
-	case "aurc":
-		return true, nil
-	}
-	return false, fmt.Errorf("twin: unknown protocol mode %q (want hlrc or aurc)", mode)
 }
 
 // modelKey identifies one calibrated model.
@@ -298,6 +211,8 @@ type Model struct {
 	// reset to the suite default, matching exp's speedup denominator).
 	base svmsim.Config
 	uni  svmsim.Config
+	// baseVals are base's axis coordinates.
+	baseVals [NumAxes]float64
 	// baseTime/uniTime are the measured cycles at those two anchors.
 	baseTime uint64
 	uniTime  uint64
@@ -311,7 +226,7 @@ type Model struct {
 func (m *Model) Workload() string { return m.workload }
 
 // Mode returns "hlrc" or "aurc".
-func (m *Model) Mode() string { return modeName(m.aurc) }
+func (m *Model) Mode() string { return exp.ModeName(m.aurc) }
 
 // CalibratedAxes returns the axes this model can interpolate, in axis order.
 func (m *Model) CalibratedAxes() []Axis {
@@ -324,28 +239,21 @@ func (m *Model) CalibratedAxes() []Axis {
 	return out
 }
 
-// axisEvents maps an axis to the event count its cost scales with (finding
-// 4's correlations; finding 3 for AURC occupancy). Reporting only.
-func (m *Model) axisEvents(a Axis) uint64 {
-	p := m.profile
-	switch a {
-	case AxisHostOverhead:
-		return p.Msgs
-	case AxisOccupancy:
-		if m.aurc {
+// axisEvents maps each axis to the event count its cost scales with
+// (finding 4's correlations; finding 3 for AURC occupancy, where update
+// words count too). Reporting only.
+var axisEvents = [NumAxes]func(p *stats.EventProfile, aurc bool) uint64{
+	AxisHostOverhead: func(p *stats.EventProfile, _ bool) uint64 { return p.Msgs },
+	AxisOccupancy: func(p *stats.EventProfile, aurc bool) uint64 {
+		if aurc {
 			return p.Msgs + p.UpdateWords
 		}
 		return p.Msgs
-	case AxisIOBw:
-		return p.Bytes
-	case AxisInterrupt:
-		return p.PageFetches + p.RemoteLocks
-	case AxisPageSize:
-		return p.PageFetches
-	case AxisClustering:
-		return p.Msgs
-	}
-	return 0
+	},
+	AxisIOBw:       func(p *stats.EventProfile, _ bool) uint64 { return p.Bytes },
+	AxisInterrupt:  func(p *stats.EventProfile, _ bool) uint64 { return p.PageFetches + p.RemoteLocks },
+	AxisPageSize:   func(p *stats.EventProfile, _ bool) uint64 { return p.PageFetches },
+	AxisClustering: func(p *stats.EventProfile, _ bool) uint64 { return p.Msgs },
 }
 
 // anchorValues assembles the axis's calibration values: the seeds filtered
@@ -353,7 +261,7 @@ func (m *Model) axisEvents(a Axis) uint64 {
 // and deduplicated.
 func (m *Model) anchorValues(a Axis) []float64 {
 	vals := append([]float64(nil), anchorSeeds[a]...)
-	vals = append(vals, axisValue(&m.base, a))
+	vals = append(vals, exp.Axes[a].Get(m.base))
 	sort.Float64s(vals)
 	out := vals[:0]
 	for i, v := range vals {
@@ -412,6 +320,9 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []Axis
 	t.mu.RUnlock()
 
 	m := &Model{workload: w.Name, aurc: aurc, base: base, uni: uni}
+	for a := Axis(0); a < NumAxes; a++ {
+		m.baseVals[a] = exp.Axes[a].Get(base)
+	}
 	var missing []Axis
 	if prev != nil && prev.base == base {
 		*m = *prev
@@ -431,35 +342,33 @@ func (t *Twin) calibrate(s *exp.Suite, w svmsim.Workload, aurc bool, axes []Axis
 	cells := []exp.Cell{{Cfg: base, W: w}, {Cfg: uni, W: w}}
 	for _, a := range missing {
 		for _, v := range m.anchorValues(a) {
-			cfg := base
-			axisApply(&cfg, a, v)
+			cfg := exp.Axes[a].Set(base, v)
 			cells = append(cells, exp.Cell{Cfg: cfg, W: w})
 		}
 	}
 	if err := s.Runner().Run(cells); err != nil {
-		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, modeName(aurc), err)
+		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, exp.ModeName(aurc), err)
 	}
 
 	baseRun, err := s.RunCell(exp.Cell{Cfg: base, W: w})
 	if err != nil {
-		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, modeName(aurc), err)
+		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, exp.ModeName(aurc), err)
 	}
 	uniRun, err := s.RunCell(exp.Cell{Cfg: uni, W: w})
 	if err != nil {
-		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, modeName(aurc), err)
+		return nil, fmt.Errorf("twin: calibrating %s/%s: %w", w.Name, exp.ModeName(aurc), err)
 	}
 	m.baseRun, m.baseTime = baseRun, baseRun.Cycles
 	m.uniRun, m.uniTime = uniRun, uniRun.Cycles
 	m.profile = baseRun.Profile()
 
 	for _, a := range missing {
-		ax := &axisModel{events: m.axisEvents(a)}
+		ax := &axisModel{events: axisEvents[a](&m.profile, m.aurc)}
 		for _, v := range m.anchorValues(a) {
-			cfg := base
-			axisApply(&cfg, a, v)
+			cfg := exp.Axes[a].Set(base, v)
 			run, err := s.RunCell(exp.Cell{Cfg: cfg, W: w})
 			if err != nil {
-				return nil, fmt.Errorf("twin: calibrating %s/%s %s=%g: %w", w.Name, modeName(aurc), a, v, err)
+				return nil, fmt.Errorf("twin: calibrating %s/%s %s=%g: %w", w.Name, exp.ModeName(aurc), a, v, err)
 			}
 			ax.points = append(ax.points, anchorPoint{value: v, pos: axisPos(a, v), time: run.Cycles, run: run})
 		}
