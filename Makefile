@@ -95,16 +95,17 @@ bench:
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem ./internal/engine/
 
-# CI benchmark smoke: one -benchtime=1x pass asserting the engine's
-# 0 allocs/op contract plus one end-to-end single-run. Seconds.
+# CI benchmark smoke: the engine's 0 allocs/op contract plus one end-to-end
+# single run held to 3641567 simcycles and at most 16 MB/op. Seconds.
 bench-smoke:
 	sh scripts/bench_smoke.sh
 
 # Record the perf trajectory: best-of-N engine, table and twin benchmark
-# numbers written to BENCH_PR10.json (checked in; see
-# scripts/bench_snapshot.sh).
+# numbers, with the machine they ran on, written to a new snapshot file
+# (checked in; see scripts/bench_snapshot.sh). The output is required and
+# never overwritten: make bench-snapshot OUT=BENCH_PRn.json
 bench-snapshot:
-	sh scripts/bench_snapshot.sh BENCH_PR10.json
+	sh scripts/bench_snapshot.sh "$(OUT)"
 
 # Regenerate every table and figure of the paper (small sizes, parallel).
 experiments:

@@ -82,15 +82,16 @@ type Suite struct {
 
 	mu    sync.Mutex
 	logMu sync.Mutex
-	// cache keeps each cell's whole svmsim.Result, the simulated World and
-	// its node memory images included, although readers only use
-	// Result.Run. Keeping just the RunStats was measured worse (2 vCPU,
-	// 30 s benchmark pairs at seeds 1 and 2): sweep-clustering peak RSS
-	// rose from 268/275 MB to 860/826 MB and its sweep time from 4.17/4.19 s
-	// to 4.33/4.97 s, and serve-fleet throughput fell from 130 to 115
-	// cells/s, because the freed 16 MB images are reused and zeroed by the
-	// next cells. Revisit once node memory is allocated lazily per page.
-	cache  map[string]*svmsim.Result
+	// cache keeps only each cell's RunStats, the one thing readers use; the
+	// simulated World is dropped as soon as the cell finishes, so a
+	// long-lived daemon's memo grows by one RunStats per cell. Node memory
+	// is allocated per page on first touch, so a cell's world is small and
+	// keeping it alive would spare the next cells no zeroing
+	// (2 vCPU, go1.24: BenchmarkSingleRun allocates 6.1 MB/op and the
+	// Figure 5+10+14 bundle 1.3 GB/op, against 72.6 MB and 13.1 GB with
+	// dense images; sweep-interrupt peak RSS is 37 MB, against 676 MB with
+	// dense images retained here).
+	cache  map[string]*svmsim.RunStats
 	errs   map[string]error
 	flight map[string]*flight
 }
@@ -163,7 +164,7 @@ func NewSuite(sizes Size) *Suite {
 // Callers must hold s.mu.
 func (s *Suite) ensure() {
 	if s.cache == nil {
-		s.cache = make(map[string]*svmsim.Result)
+		s.cache = make(map[string]*svmsim.RunStats)
 	}
 	if s.errs == nil {
 		s.errs = make(map[string]error)
@@ -221,12 +222,12 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 	s.mu.Lock()
 	s.ensure()
 	observe := s.Observe
-	if r, ok := s.cache[key]; ok {
+	if run, ok := s.cache[key]; ok {
 		s.mu.Unlock()
 		if observe != nil {
 			observe(CellEvent{Key: key, Source: SourceMemo})
 		}
-		return r.Run, nil
+		return run, nil
 	}
 	if err, ok := s.errs[key]; ok {
 		s.mu.Unlock()
@@ -248,16 +249,13 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 	verbose := s.Verbose
 	s.mu.Unlock()
 
-	var res *svmsim.Result
+	var run *svmsim.RunStats
 	var err error
 	source := SourceSim
 	hit := false
 	if s.CacheDir != "" {
-		if run, derr, ok := s.loadCell(key); ok {
-			hit, err, source = true, derr, SourceDisk
-			if derr == nil {
-				res = &svmsim.Result{Run: run}
-			}
+		if drun, derr, ok := s.loadCell(key); ok {
+			hit, run, err, source = true, drun, derr, SourceDisk
 			if verbose != nil {
 				s.logf(verbose, "disk %-12s %s\n", w.Name, cfgKey(cfg))
 			}
@@ -269,9 +267,8 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 		// worker's simulation. Predictions deliberately skip the CacheDir
 		// spill below — see the Predict field's cache-purity contract.
 		if predict := s.Predict; predict != nil {
-			if run, ok := predict(cell); ok && run != nil {
-				hit, source = true, SourcePredicted
-				res = &svmsim.Result{Run: run}
+			if prun, ok := predict(cell); ok && prun != nil {
+				hit, run, source = true, prun, SourcePredicted
 				if verbose != nil {
 					s.logf(verbose, "twin %-12s %s\n", w.Name, cfgKey(cfg))
 				}
@@ -289,7 +286,7 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 					// the same bytes a local failure would.
 					err = &cachedError{kind: rr.ErrKind, msg: rr.Err}
 				} else {
-					res = &svmsim.Result{Run: rr.Run}
+					run = rr.Run
 				}
 				if verbose != nil {
 					s.logf(verbose, "remote %-10s %s\n", w.Name, cfgKey(cfg))
@@ -306,24 +303,20 @@ func (s *Suite) run(cfg svmsim.Config, w svmsim.Workload) (*svmsim.RunStats, err
 			s.logf(verbose, "run %-12s %s\n", w.Name, cfgKey(cfg))
 		}
 		sw := walltime.Start()
-		res, err = s.simulate(cfg, w)
+		run, err = s.simulate(cfg, w)
 		simSeconds = sw.Seconds()
 		if err != nil {
 			err = fmt.Errorf("%s on %s: %w", w.Name, cfgKey(cfg), err)
 		}
 		if s.CacheDir != "" {
-			var spill *svmsim.RunStats
-			if res != nil {
-				spill = res.Run
-			}
-			s.spillCell(key, spill, err)
+			s.spillCell(key, run, err)
 		}
 	}
 
 	s.mu.Lock()
 	if err == nil {
-		s.cache[key] = res
-		f.run = res.Run
+		s.cache[key] = run
+		f.run = run
 	} else {
 		s.errs[key] = err
 	}
@@ -345,14 +338,19 @@ func (s *Suite) RunCell(c Cell) (*svmsim.RunStats, error) {
 
 // simulate executes one cell, converting a panic (in the simulator, protocol,
 // or application code) into an error so a single broken cell degrades to an
-// error row instead of taking down the whole sweep.
-func (s *Suite) simulate(cfg svmsim.Config, w svmsim.Workload) (res *svmsim.Result, err error) {
+// error row instead of taking down the whole sweep. Only the RunStats is
+// returned: the simulated World is garbage as soon as the cell finishes.
+func (s *Suite) simulate(cfg svmsim.Config, w svmsim.Workload) (run *svmsim.RunStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	return svmsim.Run(cfg, s.app(w))
+	res, err := svmsim.Run(cfg, s.app(w))
+	if err != nil {
+		return nil, err
+	}
+	return res.Run, nil
 }
 
 // logf serializes verbose progress lines from concurrent workers.

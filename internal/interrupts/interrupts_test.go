@@ -11,7 +11,7 @@ import (
 func mkNode(s *engine.Sim, nprocs int) *node.Node {
 	prm := node.DefaultParams()
 	prm.SyncQuantumCycles = 100
-	return node.New(s, 0, nprocs, 1<<16, prm, 0)
+	return node.New(s, 0, nprocs, 1<<16, 4096, prm, 0)
 }
 
 func TestNullInterruptCost(t *testing.T) {

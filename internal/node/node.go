@@ -4,6 +4,12 @@
 // shared virtual address space. Data always lives in the node memory image;
 // caches and write buffers are timing models only, which keeps application
 // data correctness orthogonal to timing fidelity.
+//
+// The image is held as per-page frames allocated lazily, on first access: a
+// home-based protocol only ever gives a node the pages it is home for or has
+// fetched, so a dense copy of the whole address space would be mostly
+// zeroes. A page without a frame reads as zero, exactly as the untouched
+// page of a dense image would.
 package node
 
 import (
@@ -71,22 +77,32 @@ type Node struct {
 	ID    int
 	Sim   *engine.Sim
 	Prm   Params
-	Mem   []byte // image of the shared address space
 	Bus   *memsys.Bus
 	IOBus *engine.Resource
 	Procs []*Processor
+
+	// frames holds the image of the shared address space, one pageBytes
+	// frame per page the node has touched, in first-touch order; frameOf
+	// maps a page to its 1-based index in frames (0: no frame yet). A
+	// pointer-free page table keeps a node's fixed cost at 4 bytes per page
+	// and leaves the garbage collector only the touched frames to scan.
+	frameOf   []int32
+	frames    [][]byte
+	pageBytes uint64
 }
 
 // New builds a node with nprocs processors and a memSize-byte image of the
-// shared address space.
-func New(s *engine.Sim, id, nprocs int, memSize uint64, prm Params, firstGlobalID int) *Node {
+// shared address space, divided into pageBytes pages.
+func New(s *engine.Sim, id, nprocs int, memSize uint64, pageBytes int, prm Params, firstGlobalID int) *Node {
+	pb := uint64(pageBytes)
 	n := &Node{
-		ID:    id,
-		Sim:   s,
-		Prm:   prm,
-		Mem:   make([]byte, memSize),
-		Bus:   memsys.NewBus(s, fmt.Sprintf("node%d-bus", id), prm.BusWidthBytes, prm.BusRatio, prm.BusArbCycles, prm.BusAddrCycles, prm.DRAMCycles),
-		IOBus: engine.NewResource(s, fmt.Sprintf("node%d-iobus", id)),
+		ID:        id,
+		Sim:       s,
+		Prm:       prm,
+		frameOf:   make([]int32, (memSize+pb-1)/pb),
+		pageBytes: pb,
+		Bus:       memsys.NewBus(s, fmt.Sprintf("node%d-bus", id), prm.BusWidthBytes, prm.BusRatio, prm.BusArbCycles, prm.BusAddrCycles, prm.DRAMCycles),
+		IOBus:     engine.NewResource(s, fmt.Sprintf("node%d-iobus", id)),
 	}
 	for i := 0; i < nprocs; i++ {
 		n.Procs = append(n.Procs, newProcessor(n, firstGlobalID+i, i))
@@ -94,14 +110,33 @@ func New(s *engine.Sim, id, nprocs int, memSize uint64, prm Params, firstGlobalI
 	return n
 }
 
-// ReadWord reads the 8-byte word at addr from the node memory image.
-func (n *Node) ReadWord(addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(n.Mem[addr:])
+// Page returns the frame holding page pg of the node memory image,
+// allocating a zeroed one on first use. Callers may read and write it.
+func (n *Node) Page(pg int32) []byte {
+	if i := n.frameOf[pg]; i != 0 {
+		return n.frames[i-1]
+	}
+	f := make([]byte, n.pageBytes)
+	n.frames = append(n.frames, f)
+	n.frameOf[pg] = int32(len(n.frames))
+	return f
 }
 
-// WriteWord writes the 8-byte word at addr in the node memory image.
+// ReadWord reads the aligned 8-byte word at addr from the node memory image.
+// A page that has no frame yet reads as zero and stays unallocated.
+func (n *Node) ReadWord(addr uint64) uint64 {
+	pg := addr / n.pageBytes
+	i := n.frameOf[pg]
+	if i == 0 {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(n.frames[i-1][addr-pg*n.pageBytes:])
+}
+
+// WriteWord writes the aligned 8-byte word at addr in the node memory image.
 func (n *Node) WriteWord(addr uint64, v uint64) {
-	binary.LittleEndian.PutUint64(n.Mem[addr:], v)
+	pg := addr / n.pageBytes
+	binary.LittleEndian.PutUint64(n.Page(int32(pg))[addr-pg*n.pageBytes:], v)
 }
 
 // InvalidateRange removes [addr, addr+size) from every processor's caches

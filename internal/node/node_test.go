@@ -1,6 +1,9 @@
 package node
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
 	"testing"
 
 	"svmsim/internal/engine"
@@ -10,7 +13,7 @@ import (
 func testNode(s *engine.Sim, nprocs int) *Node {
 	prm := DefaultParams()
 	prm.SyncQuantumCycles = 100 // tight quantum so tests see engine time move
-	return New(s, 0, nprocs, 1<<20, prm, 0)
+	return New(s, 0, nprocs, 1<<20, 4096, prm, 0)
 }
 
 func TestMemoryImageWords(t *testing.T) {
@@ -261,5 +264,63 @@ func TestBusContentionBetweenProcessors(t *testing.T) {
 	}()
 	if ends[0] <= solo && ends[1] <= solo {
 		t.Fatalf("no bus contention visible: duo=%v solo=%d", ends, solo)
+	}
+}
+
+// TestLazyFramesMatchDenseImage drives a lazily framed node and a plain
+// dense []byte image with the same seeded random word writes, word reads and
+// whole-page copies, at page sizes 1 KB to 16 KB. Every read must agree, and
+// afterwards only pages that were written or copied through Page may hold a
+// frame: a word read of an untouched page reads zero without allocating.
+func TestLazyFramesMatchDenseImage(t *testing.T) {
+	const memSize = 256 << 10
+	for _, pageBytes := range []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10} {
+		for seed := int64(1); seed <= 4; seed++ {
+			n := New(engine.New(), 0, 1, memSize, pageBytes, DefaultParams(), 0)
+			ref := make([]byte, memSize)
+			framed := map[int32]bool{}
+			rng := rand.New(rand.NewSource(seed))
+			pages := memSize / pageBytes
+			for op := 0; op < 4000; op++ {
+				// Bias addresses into a few hot pages so reads often land on
+				// written data, while a cold tail keeps most pages untouched.
+				pg := rng.Intn(pages)
+				if rng.Intn(4) != 0 {
+					pg = rng.Intn(3)
+				}
+				addr := uint64(pg*pageBytes + 8*rng.Intn(pageBytes/8))
+				switch rng.Intn(4) {
+				case 0, 1:
+					v := rng.Uint64()
+					n.WriteWord(addr, v)
+					binary.LittleEndian.PutUint64(ref[addr:], v)
+					framed[int32(pg)] = true
+				case 2:
+					if got, want := n.ReadWord(addr), binary.LittleEndian.Uint64(ref[addr:]); got != want {
+						t.Fatalf("page %d seed %d: ReadWord(%d)=%x, dense image holds %x", pageBytes, seed, addr, got, want)
+					}
+				case 3:
+					base := pg * pageBytes
+					f := n.Page(int32(pg))
+					framed[int32(pg)] = true
+					if !bytes.Equal(f, ref[base:base+pageBytes]) {
+						t.Fatalf("page %d seed %d: Page(%d) differs from the dense image", pageBytes, seed, pg)
+					}
+					// Write a whole page back through the frame, as a page
+					// install does.
+					src := rng.Intn(pages)
+					copy(f, ref[src*pageBytes:(src+1)*pageBytes])
+					copy(ref[base:base+pageBytes], ref[src*pageBytes:(src+1)*pageBytes])
+				}
+			}
+			for pg := 0; pg < pages; pg++ {
+				if has := n.frameOf[pg] != 0; has != framed[int32(pg)] {
+					t.Fatalf("page %d seed %d: page %d holds a frame=%v, accessed=%v", pageBytes, seed, pg, has, framed[int32(pg)])
+				}
+				if !bytes.Equal(n.Page(int32(pg)), ref[pg*pageBytes:(pg+1)*pageBytes]) {
+					t.Fatalf("page %d seed %d: final page %d differs from the dense image", pageBytes, seed, pg)
+				}
+			}
+		}
 	}
 }

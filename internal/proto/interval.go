@@ -125,14 +125,12 @@ func (ns *nodeState) diffPage(t *engine.Thread, p *node.Processor, handler bool,
 		// silently drop writes.
 		panic("proto: diff of writable page without twin")
 	}
-	nd := sy.Nodes[ns.id]
-	base := sy.PageAddr(pg)
+	frame := sy.Nodes[ns.id].Page(pg)
 	words := sy.Prm.PageBytes / 8
 	var offs []uint16
 	var vals []uint64
 	for w := 0; w < words; w++ {
-		addr := base + uint64(w*8)
-		cur := readWordRaw(nd, addr)
+		cur := wordAt(frame, w)
 		old := wordAt(twin, w)
 		if cur != old {
 			offs = append(offs, uint16(w))

@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -143,9 +142,8 @@ func (ns *nodeState) makeWritable(t *engine.Thread, p *node.Processor, pg int32,
 	var twinCost engine.Time
 	if sy.Prm.Mode == HLRC && int(home) != ns.id {
 		if _, ok := ns.twins[pg]; !ok {
-			base := sy.PageAddr(pg)
 			twin := make([]byte, sy.Prm.PageBytes)
-			copy(twin, p.Node.Mem[base:base+uint64(sy.Prm.PageBytes)])
+			copy(twin, p.Node.Page(pg))
 			ns.twins[pg] = twin
 			twinCost = engine.Time(sy.Prm.PageBytes/8) * sy.Prm.TwinWordCycles
 		}
@@ -183,7 +181,7 @@ func (ns *nodeState) fetch(t *engine.Thread, p *node.Processor, pg int32) {
 		}
 		home := int(sy.pageHome[pg])
 		base := sy.PageAddr(pg)
-		copy(p.Node.Mem[base:base+uint64(sy.Prm.PageBytes)], sy.Nodes[home].Mem[base:base+uint64(sy.Prm.PageBytes)])
+		copy(p.Node.Page(pg), sy.Nodes[home].Page(pg))
 		p.Node.InvalidateRange(base, sy.Prm.PageBytes)
 		ns.state[pg] = pgReadOnly
 		return
@@ -252,9 +250,8 @@ func (sy *System) handlePageRequest(ht *engine.Thread, victim *node.Processor, m
 // thread when NIServePages is enabled (victim nil: no host overhead).
 func (sy *System) servePageRequest(t *engine.Thread, victim *node.Processor, m *network.Message) {
 	req := m.Payload.(pageReq)
-	base := sy.PageAddr(req.page)
 	data := make([]byte, sy.Prm.PageBytes)
-	copy(data, sy.Nodes[m.Dst].Mem[base:base+uint64(sy.Prm.PageBytes)])
+	copy(data, sy.Nodes[m.Dst].Page(req.page))
 	if WatchLog != nil && req.page == sy.PageOf(WatchAddr) {
 		watch("[%d] page-req-served pg=%d epoch=%d home n%d for n%d watched=%d", sy.Sim.Now(), req.page, req.epoch, m.Dst, m.Src, int64(sy.Nodes[m.Dst].ReadWord(WatchAddr)))
 	}
@@ -304,7 +301,7 @@ func (sy *System) handlePageReply(m *network.Message) {
 			int64(uint64(rep.data[off])|uint64(rep.data[off+1])<<8|uint64(rep.data[off+2])<<16|uint64(rep.data[off+3])<<24|uint64(rep.data[off+4])<<32|uint64(rep.data[off+5])<<40|uint64(rep.data[off+6])<<48|uint64(rep.data[off+7])<<56),
 			int64(nd.ReadWord(WatchAddr)))
 	}
-	copy(nd.Mem[base:base+uint64(sy.Prm.PageBytes)], rep.data)
+	copy(nd.Page(pg), rep.data)
 	nd.InvalidateRange(base, sy.Prm.PageBytes)
 	ns.fetching[pg] = false
 	ns.state[pg] = pgReadOnly
@@ -444,9 +441,4 @@ func (sy *System) noticesWireBytes(recs []Notice) int {
 		n += sy.Prm.NoticeBytes + 4*len(r.Pages)
 	}
 	return n
-}
-
-// readWordRaw reads a word from a specific node's image (protocol use).
-func readWordRaw(nd *node.Node, addr uint64) uint64 {
-	return binary.LittleEndian.Uint64(nd.Mem[addr:])
 }

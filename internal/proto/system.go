@@ -149,7 +149,7 @@ func NewSystem(s *engine.Sim, cfg SystemConfig) *System {
 		}
 	}
 	for n := 0; n < cfg.Nodes; n++ {
-		nd := node.New(s, n, cfg.ProcsPerNode, cfg.HeapBytes, cfg.NodePrm, n*cfg.ProcsPerNode)
+		nd := node.New(s, n, cfg.ProcsPerNode, cfg.HeapBytes, cfg.ProtoPrm.PageBytes, cfg.NodePrm, n*cfg.ProcsPerNode)
 		sy.Nodes = append(sy.Nodes, nd)
 		sy.Procs = append(sy.Procs, nd.Procs...)
 		intc := interrupts.New(nd, cfg.IntrIssueCycles, cfg.IntrDeliverCycles, cfg.IntrPolicy)
